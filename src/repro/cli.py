@@ -15,16 +15,15 @@ Commands:
                   recalibration).  With ``--listen HOST:PORT`` or
                   ``--uds PATH`` the service is exposed over a socket
                   to *other processes* instead.
-* ``plan-client`` — drive a remote ``repro serve --listen/--uds``
-                  service from this process: graphs are built and
-                  replayed locally, searches run on the server, and
-                  identical in-flight batches coalesce across
-                  processes.
 * ``fleet``     — the sharded planning fleet: ``serve`` spawns N
                   server subprocesses over one shared on-disk cache
                   tier and supervises them (crash restart, drain on
                   stop); ``drive`` hammers a running fleet with
-                  signature-routed clients; ``bench`` measures
+                  signature-routed clients (a single ``repro serve
+                  --listen/--uds`` is a 1-shard fleet: graphs are built
+                  and replayed locally, searches run on the server, and
+                  identical in-flight batches coalesce across
+                  processes); ``bench`` measures
                   plans/sec vs shard count on the fig. 11 workload.
 * ``service-bench`` — coalescing + aggregate-throughput comparison of
                   the service against serial per-replica planning.
@@ -47,7 +46,7 @@ Examples::
     python -m repro trace validate /tmp/vlm_s.trace.json
     python -m repro serve VLM-S T2V-S --replicas 4 --iterations 3
     python -m repro serve VLM-S --uds /tmp/plan.sock --cache-file cache.json
-    python -m repro plan-client VLM-S --uds /tmp/plan.sock --replicas 4
+    python -m repro fleet drive VLM-S --address /tmp/plan.sock --replicas 4
     python -m repro fleet serve VLM-S --shards 2 --cache-dir /tmp/plans
     python -m repro fleet drive VLM-S --address-file /tmp/fleet.json
     python -m repro fleet bench --shards 1 2 4 --output fleet.json
@@ -473,8 +472,9 @@ def _service_with_jobs(args, models, budget=None, fault_plan=None):
 def _serve_socket(args, models) -> int:
     """Run the planning service behind a TCP / Unix socket.
 
-    Blocks until a client sends ``shutdown`` (``repro plan-client
-    --shutdown``), ``--serve-seconds`` elapses, or Ctrl-C.
+    Blocks until a client sends ``shutdown`` (``repro fleet drive
+    --address ADDR --shutdown``), ``--serve-seconds`` elapses, or
+    Ctrl-C.
     """
     from repro.service import PlanServiceServer
 
@@ -599,84 +599,6 @@ def cmd_serve(args) -> int:
     if cache_file:
         service.cache.save(cache_file)
     return 1 if report.errors else 0
-
-
-def cmd_plan_client(args) -> int:
-    """Drive a remote planning service from this (client) process.
-
-    Builds a local planner mirror per replica — the planning context
-    (model, budget, seed, kernel flags) must match what the server was
-    started with, or signatures will not line up.
-    """
-    from repro.service import (
-        PlanServiceClient,
-        ProtocolError,
-        drive_remote_replicas,
-    )
-
-    address = args.uds if args.uds else args.connect
-    if not address:
-        print("plan-client needs --uds PATH or --connect HOST:PORT",
-              file=sys.stderr)
-        return 2
-
-    def planner_factory(model):
-        _arch, _cluster, _parallel, planner = _setup(
-            model, args.budget, args.seed, plan_cache=True,
-            cache_size=args.cache_size, use_kernel=_use_kernel(args),
-        )
-        return planner
-
-    try:
-        probe = PlanServiceClient(address, timeout_s=args.timeout)
-        info = probe.ping()
-    except (OSError, TimeoutError, ProtocolError) as exc:
-        print(f"cannot connect to {address}: {exc}", file=sys.stderr)
-        return 2
-    missing = [m for m in args.models if m not in info.get("jobs", [])]
-    if missing:
-        print(f"server at {address} does not serve {missing} "
-              f"(jobs: {info.get('jobs')})", file=sys.stderr)
-        probe.close()
-        return 2
-    streams = {}
-    for model in args.models:
-        arch = build_combination(combination_by_name(model))
-        streams[model] = _workload(arch, args.microbatches,
-                                   args.seed).batches(args.iterations)
-    print(f"driving {address}: {len(args.models)} job(s) x "
-          f"{args.replicas} replicas x {args.iterations} iterations")
-    report = drive_remote_replicas(address, streams,
-                                   replicas=args.replicas,
-                                   planner_factory=planner_factory,
-                                   timeout_s=args.timeout)
-    _print_drive_report(report, args.models, args.iterations)
-    failed = bool(report.errors)
-    if args.show_stats or args.min_coalesced:
-        stats = probe.stats()
-        svc = stats["service"]
-        print(f"server: {svc['completed']} plans, {svc['searches']} "
-              f"searches, {svc['replays']} replays, {svc['coalesced']} "
-              f"coalesced ({svc['coalesce_rate'] * 100:.0f}%), "
-              f"cache {stats['cache']['entries']} entries "
-              f"({stats['cache']['hits']} hits)")
-        remote = stats["remote"]
-        print(f"server connections: {remote['connections_opened']} opened, "
-              f"{remote['connections_active']} active, "
-              f"{remote['requests']} requests")
-        if args.min_coalesced and svc["coalesced"] < args.min_coalesced:
-            print(f"server coalesced only {svc['coalesced']} requests "
-                  f"(< {args.min_coalesced})", file=sys.stderr)
-            failed = True
-    if args.save_cache:
-        saved = probe.save_cache()
-        print(f"server saved its plan cache to {saved['path']} "
-              f"({saved['entries']} entries)")
-    if args.shutdown:
-        probe.shutdown()
-        print("sent shutdown")
-    probe.close()
-    return 1 if failed else 0
 
 
 def _fleet_addresses(args) -> List[str]:
@@ -1410,51 +1332,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSONL to PATH on shutdown, for replay "
                             "verification against the plan's seed")
 
-    pclient = sub.add_parser(
-        "plan-client",
-        help="drive a remote 'repro serve --listen/--uds' service from "
-             "this process: local graphs, remote searches, canonical-"
-             "plan replay (flags must match the server's)")
-    # Only the flags that shape the *client's* planner mirror and
-    # workload — server-side knobs (--workers, --queue, --recalibrate,
-    # --aging, --cache-file) belong to `repro serve` and accepting them
-    # here would silently do nothing.
-    pclient.add_argument("models", nargs="+",
-                         help="job name(s) registered on the server, "
-                              "e.g. VLM-S")
-    pclient.add_argument("--replicas", type=_positive_int, default=4,
-                         help="concurrent DP replicas (connections) "
-                              "per job")
-    pclient.add_argument("--iterations", type=_positive_int, default=3)
-    pclient.add_argument("--microbatches", type=int, default=4)
-    pclient.add_argument("--budget", type=int, default=16,
-                         help="schedule-search evaluations (must match "
-                              "the server's --budget: it is part of the "
-                              "planning-context signature)")
-    pclient.add_argument("--cache-size", type=_positive_int, default=64,
-                         help="local planner-mirror cache capacity")
-    pclient.add_argument("--seed", type=int, default=0)
-    legacy_eval_arg(pclient)
-    pclient.add_argument("--connect", default=None, metavar="HOST:PORT",
-                         help="TCP address of the serving process")
-    pclient.add_argument("--uds", default=None, metavar="PATH",
-                         help="Unix-domain socket of the serving process")
-    pclient.add_argument("--timeout", type=float, default=300.0,
-                         help="per-request timeout (seconds)")
-    pclient.add_argument("--show-stats", action="store_true",
-                         help="print the server's service/cache/remote "
-                              "stats after driving")
-    pclient.add_argument("--min-coalesced", type=int, default=0,
-                         metavar="N",
-                         help="exit nonzero unless the server coalesced "
-                              "at least N requests (CI gate for cross-"
-                              "process coalescing)")
-    pclient.add_argument("--save-cache", action="store_true",
-                         help="ask the server to persist its shared plan "
-                              "cache (atomic save to its --cache-file)")
-    pclient.add_argument("--shutdown", action="store_true",
-                         help="send a shutdown request after driving")
-
     fleet = sub.add_parser(
         "fleet",
         help="sharded planning fleet: N server shards over one shared "
@@ -1522,8 +1399,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="job name(s) registered on the shards")
     fdrive.add_argument("--address", action="append", default=None,
                         metavar="ADDR",
-                        help="shard address (repeat per shard); every "
-                             "client must be given the same set")
+                        help="shard address (repeat per shard; one "
+                             "'repro serve --listen/--uds' address is a "
+                             "1-shard fleet); every client must be given "
+                             "the same set")
     fdrive.add_argument("--address-file", default=None, metavar="PATH",
                         help="JSON address file a 'repro fleet serve "
                              "--address-file' wrote")
@@ -1772,7 +1651,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": cmd_trace,
         "tune": cmd_tune,
         "serve": cmd_serve,
-        "plan-client": cmd_plan_client,
         "fleet": cmd_fleet,
         "obs": cmd_obs,
         "chaos": cmd_chaos,

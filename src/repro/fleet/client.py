@@ -1,14 +1,16 @@
 """Signature-routed client over a fleet of planning shards.
 
-:class:`FleetClient` is to a shard fleet what
-:class:`~repro.service.client.RemotePlanClient` is to one server — the
-same ``run()`` / ``records`` / ``errors`` surface (so
-:func:`~repro.service.replica.run_clients` drives either), with routing
-in the middle: each batch is prepared and fingerprinted *locally*, and
-the signature digest picks the shard through the fleet's consistent-hash
-ring.  Every client process computes the same mapping, so identical
-signatures from different processes still meet on one shard and coalesce
-there, exactly as they would against a single server.
+:class:`FleetClient` is the remote client: it has the same ``run()`` /
+``records`` / ``errors`` surface as the in-process
+:class:`~repro.service.replica.ReplicaClient` (so
+:func:`~repro.service.replica.run_clients` drives either), and a single
+``repro serve`` process is a 1-shard fleet, ``FleetClient([address],
+...)``.  Routing sits in the middle: each batch is prepared and
+fingerprinted *locally*, and the signature digest picks the shard
+through the fleet's consistent-hash ring.  Every client process computes
+the same mapping, so identical signatures from different processes
+still meet on one shard and coalesce there, exactly as they would
+against a single server.
 
 Failure handling is explicit about the trade it makes: when a shard is
 unreachable, the request retries along the ring's preference order
@@ -47,13 +49,18 @@ from repro.data.batching import GlobalBatch
 from repro.fleet.breaker import CircuitBreaker
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.obs.registry import MetricsRegistry
-from repro.service.client import ServiceConnection, submit_and_replay
+from repro.service.client import (
+    PlanServiceClient,
+    ServiceConnection,
+    submit_and_replay,
+)
 from repro.service.replica import ReplicaRecord
 from repro.service.requests import (
     DeadlineExceededError,
     ProtocolError,
     RemotePlanError,
     ServiceClosedError,
+    SignatureMismatchError,
 )
 from repro.service.retry import RetryPolicy
 from repro.service.stats import ServiceStats
@@ -467,6 +474,13 @@ class FleetClient:
             t0 = time.monotonic()
             try:
                 result, report = self.plan_batch(batch)
+            except SignatureMismatchError as exc:
+                # Deterministic for every batch of this stream (the two
+                # processes disagree about the planning context), and
+                # each attempt costs the shard a full discarded search
+                # — abort the replica instead of failing N more times.
+                self.errors.append((self.job, self.replica, i, str(exc)))
+                break
             except Exception as exc:  # noqa: BLE001 — recorded, not fatal
                 self.errors.append((self.job, self.replica, i, str(exc)))
                 continue
@@ -535,42 +549,22 @@ class FleetClient:
         return self.metrics.snapshot()
 
     def stats(self) -> Dict:
-        """Fleet-wide stats: per-shard raw snapshots + merged view.
-
-        Shards are polled with ``samples=True`` so the merged latency
-        percentiles are recomputed from the union of per-shard sample
-        windows (see :meth:`ServiceStats.merge`), not averaged from
-        per-shard percentiles.  An unreachable shard contributes an
-        ``error`` entry instead of sinking the whole view.
-        """
-        shards: Dict[str, Dict] = {}
-        parts: List[ServiceStats] = []
-        cache_totals: Dict[str, float] = {}
-        for address in self.ring.nodes:
-            try:
-                snap = self.connection(address).call("stats",
-                                                     {"samples": True})
-            except FAILOVER_ERRORS as exc:
-                shards[address] = {"error": str(exc)}
-                continue
-            shards[address] = snap
-            parts.append(ServiceStats.from_snapshot(
-                snap.get("service") or {}))
-            for key, value in (snap.get("cache") or {}).items():
-                if isinstance(value, (int, float)):
-                    cache_totals[key] = cache_totals.get(key, 0) + value
-        merged = ServiceStats.merge(parts)
-        return {
-            "service": merged.snapshot(),
-            "cache": cache_totals,
-            "shards": shards,
-            "reachable": len(parts),
-            "failovers": self.failovers,
-            "retries": self.retries,
-            "degraded_plans": self.degraded_plans,
-            "deadline_failures": self.deadline_failures,
-            "breakers": self.breaker_states(),
-        }
+        """Fleet-wide stats over this client's shard connections: the
+        merged view of :func:`fleet_stats` plus the client-side
+        failover / retry / degraded / deadline counters and breaker
+        states."""
+        view = _merged_stats(
+            self.ring.nodes,
+            lambda address, method, params:
+                self.connection(address).call(method, params))
+        view.update(
+            failovers=self.failovers,
+            retries=self.retries,
+            degraded_plans=self.degraded_plans,
+            deadline_failures=self.deadline_failures,
+            breakers=self.breaker_states(),
+        )
+        return view
 
     def ping_all(self) -> Dict[str, Dict]:
         """Reachability sweep; unreachable shards map to ``None``."""
@@ -593,26 +587,36 @@ def fleet_stats(addresses: Sequence[str],
     usable without a live :class:`FleetClient` (the CLI and the
     benchmark poll after their drive processes have exited).
 
-    Same shape as :meth:`FleetClient.stats`, minus ``failovers``.
+    Same shape as :meth:`FleetClient.stats`, minus the client-side
+    counters.
     """
-    from repro.service.client import PlanServiceClient
+    def call(address: str, method: str, params: Dict) -> Dict:
+        with PlanServiceClient(address, timeout_s=timeout_s) as client:
+            return client.call(method, params)
 
+    return _merged_stats(addresses, call)
+
+
+def _merged_stats(addresses: Sequence[str],
+                  call: Callable[[str, str, Dict], Dict]) -> Dict:
+    """Per-shard raw ``stats`` snapshots plus one merged view;
+    ``call(address, method, params)`` sends one RPC to a shard.
+
+    Shards are polled with ``samples=True`` so the merged latency
+    percentiles are recomputed from the union of per-shard sample
+    windows (see :meth:`ServiceStats.merge`), not averaged from
+    per-shard percentiles.  An unreachable shard contributes an
+    ``error`` entry instead of sinking the whole view.
+    """
     shards: Dict[str, Dict] = {}
     parts: List[ServiceStats] = []
     cache_totals: Dict[str, float] = {}
     for address in addresses:
         try:
-            client = PlanServiceClient(address, timeout_s=timeout_s)
+            snap = call(address, "stats", {"samples": True})
         except FAILOVER_ERRORS as exc:
             shards[address] = {"error": str(exc)}
             continue
-        try:
-            snap = client.call("stats", {"samples": True})
-        except FAILOVER_ERRORS as exc:
-            shards[address] = {"error": str(exc)}
-            continue
-        finally:
-            client.close()
         shards[address] = snap
         parts.append(ServiceStats.from_snapshot(snap.get("service") or {}))
         for key, value in (snap.get("cache") or {}).items():
@@ -637,9 +641,13 @@ def drive_fleet(
     **client_kwargs,
 ):
     """Hammer a fleet with ``replicas`` routed clients per job — the
-    fleet twin of :func:`~repro.service.client.drive_remote_replicas`.
-    Returns ``(DriveReport, clients)``; the clients are already closed
-    but keep their routing/stats state for inspection.  A shared
+    cross-process twin of :func:`~repro.service.replica.drive_replicas`
+    (a single server is a 1-shard fleet).  Every client opens its own
+    connections and owns a fresh planner mirror from
+    ``planner_factory(job)``, so identical batches coalesce on their
+    shard across connections and processes.  Returns ``(DriveReport,
+    clients)``; the clients are already closed but keep their
+    routing/stats state for inspection.  A shared
     ``tracer`` stamps every submit with a distributed trace id.  Extra
     keyword arguments (retry policy, deadline, degraded mode, breaker
     tuning) pass straight through to every :class:`FleetClient`."""

@@ -119,8 +119,8 @@ def run_clients(clients: Sequence, timeout_s: float = 300.0) -> DriveReport:
 
     A *client* is anything with ``run()`` populating ``records`` and
     ``errors`` — the in-process :class:`ReplicaClient` and the socket
-    :class:`~repro.service.client.RemotePlanClient` both qualify, so the
-    same driver exercises either transport.  Blocks until every client
+    :class:`~repro.fleet.client.FleetClient` both qualify, so the same
+    driver exercises either transport.  Blocks until every client
     drains its stream; per-request failures are recorded, not raised.
     """
     threads = [

@@ -1,6 +1,7 @@
 """Cross-process plan serving: wire protocol, robustness, drain/reap.
 
-Covers the socket layer (src/repro/service/rpc.py + client.py):
+Covers the socket layer (src/repro/service/rpc.py + client.py), with
+one server driven as a 1-shard fleet (``FleetClient([address], ...)``):
 
 * frame codec + envelope validation (malformed frames, oversized
   payloads, version mismatches yield clean protocol errors, never a
@@ -26,6 +27,7 @@ from repro.core.signature import SIGNATURE_VERSION
 from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch
 from repro.data.workload import vlm_workload
+from repro.fleet.client import FleetClient, drive_fleet
 from repro.service import (
     OUTCOME_COALESCED,
     OUTCOME_SEARCH,
@@ -34,11 +36,9 @@ from repro.service import (
     PlanServiceServer,
     ProtocolError,
     RecalibrationPolicy,
-    RemotePlanClient,
     RemotePlanError,
     ServiceOverloadError,
     SignatureMismatchError,
-    drive_remote_replicas,
     observed_execution,
 )
 from repro.service.rpc import (
@@ -337,8 +337,8 @@ class TestCrossProcessPlanning:
         makespan identical to planning in-process."""
         service, server = serving(num_workers=1)
         batch = controlled_batch([4, 8])
-        remote = RemotePlanClient(server.address, "vlm", 0, [batch],
-                                  planner=make_planner(), timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0, [batch],
+                             planner=make_planner(), timeout_s=60)
         records = remote.run()
         remote.close()
         assert not remote.errors, remote.errors
@@ -356,8 +356,8 @@ class TestCrossProcessPlanning:
         results = {}
 
         def drive(tag):
-            remote = RemotePlanClient(server.address, "vlm", 0, [batch],
-                                      planner=make_planner(), timeout_s=60)
+            remote = FleetClient([server.address], "vlm", 0, [batch],
+                                 planner=make_planner(), timeout_s=60)
             remote.run()
             results[tag] = remote
             remote.close()
@@ -386,12 +386,11 @@ class TestCrossProcessPlanning:
         assert len(makespans) == 1
         assert service.stats.coalesced == 1
 
-    def test_drive_remote_replicas_identical_makespans(self, serving,
-                                                       make_planner):
+    def test_drive_fleet_identical_makespans(self, serving, make_planner):
         service, server = serving(num_workers=2)
         batches = vlm_workload(2, seed=0).batches(2)
-        report = drive_remote_replicas(
-            server.address, {"vlm": batches}, replicas=3,
+        report, _clients = drive_fleet(
+            [server.address], {"vlm": batches}, replicas=3,
             planner_factory=lambda job: make_planner(), timeout_s=120,
         )
         assert not report.errors, report.errors
@@ -416,9 +415,9 @@ class TestCrossProcessPlanning:
                                     budget_evaluations=8, seed=0)
         skewed = OnlinePlanner(tiny_vlm, small_cluster, parallel2,
                                skewed_model, searcher=searcher)
-        remote = RemotePlanClient(server.address, "vlm", 0,
-                                  [controlled_batch([4, 8])],
-                                  planner=skewed, timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0,
+                             [controlled_batch([4, 8])],
+                             planner=skewed, timeout_s=60)
         with pytest.raises(SignatureMismatchError):
             remote.plan_batch(controlled_batch([4, 8]))
         remote.close()
@@ -439,8 +438,8 @@ class TestCrossProcessPlanning:
         batches = [controlled_batch([4, 8]),
                    controlled_batch([2, 6]),
                    controlled_batch([3, 3])]
-        remote = RemotePlanClient(server.address, "vlm", 0, batches,
-                                  planner=skewed, timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0, batches,
+                             planner=skewed, timeout_s=60)
         remote.run()
         remote.close()
         assert not remote.records
@@ -456,8 +455,8 @@ class TestCrossProcessPlanning:
         deadline = time.monotonic() + 60
         while service.stats.completed < 1 and time.monotonic() < deadline:
             time.sleep(0.01)
-        remote = RemotePlanClient(server.address, "vlm", 0, [batch],
-                                  planner=make_planner(), timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0, [batch],
+                             planner=make_planner(), timeout_s=60)
         records = remote.run()
         remote.close()
         assert not remote.errors
@@ -475,15 +474,14 @@ class TestCrossProcessPlanning:
         reference = ReferenceCostModel(seed=7)
         planner = make_planner()
         batches = vlm_workload(2, seed=3).batches(6)
-        remote = RemotePlanClient(server.address, "vlm", 0, batches,
-                                  planner=planner, timeout_s=120)
+        remote = FleetClient([server.address], "vlm", 0, batches,
+                             planner=planner, timeout_s=120)
         applied = []
         for batch in batches:
             result, _report = remote.plan_batch(batch)
             trace = observed_execution(service, "vlm", result, reference)
-            event = remote.observe(trace)
-            if event and event.get("applied"):
-                applied.append(event)
+            applied.extend(event for event in remote.observe(trace)
+                           if event.get("applied"))
         remote.close()
         assert applied, "no recalibration applied over the wire"
         # The client's local mirror swapped onto the calibrated model...
@@ -495,9 +493,9 @@ class TestCrossProcessPlanning:
     def test_stats_and_save_cache_rpc(self, serving, make_planner,
                                       tmp_path):
         service, server = serving(num_workers=1)
-        remote = RemotePlanClient(server.address, "vlm", 0,
-                                  [controlled_batch([4, 8])],
-                                  planner=make_planner(), timeout_s=60)
+        remote = FleetClient([server.address], "vlm", 0,
+                             [controlled_batch([4, 8])],
+                             planner=make_planner(), timeout_s=60)
         remote.run()
         remote.close()
         with PlanServiceClient(server.address) as client:
@@ -578,8 +576,8 @@ class TestDisconnectAndDrain:
         outcome = {}
 
         def drive():
-            remote = RemotePlanClient(server.address, "vlm", 0, [batch],
-                                      planner=make_planner(), timeout_s=60)
+            remote = FleetClient([server.address], "vlm", 0, [batch],
+                                 planner=make_planner(), timeout_s=60)
             remote.run()
             outcome["records"] = list(remote.records)
             outcome["errors"] = list(remote.errors)
