@@ -12,8 +12,10 @@ in minutes; EXPERIMENTS.md records the scale used for every experiment.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -175,10 +177,26 @@ def setup_mfu(setup: Setup, batch: GlobalBatch, iteration_ms: float) -> float:
     return mfu(graph_flops, iteration_ms, setup.cluster.gpu, setup.parallel)
 
 
+#: Whether :func:`save_results` writes into the committed ``RESULTS_DIR``
+#: (set by ``pytest --record-results``).
+RECORD_RESULTS = False
+
+
+@functools.lru_cache(maxsize=None)
+def _unrecorded_results_dir() -> str:
+    return tempfile.mkdtemp(prefix="repro-results-")
+
+
 def save_results(name: str, payload) -> str:
-    """Persist a benchmark's findings for EXPERIMENTS.md."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
+    """Persist a benchmark's findings for EXPERIMENTS.md.
+
+    They go to ``RESULTS_DIR`` only when :data:`RECORD_RESULTS` is set;
+    otherwise to a per-process temporary directory, so that running the
+    suite does not rewrite the committed results with timing noise.
+    """
+    directory = RESULTS_DIR if RECORD_RESULTS else _unrecorded_results_dir()
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{name}.json")
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, default=float)
     return path

@@ -153,7 +153,8 @@ def cmd_plan(args) -> int:
             plan_src = "cold search"
         print(f"iter {report.iteration}: {report.train_ms / 1e3:6.2f}s  "
               f"MFU {value:.3f}  bubble {predicted.bubble_ratio * 100:4.1f}%  "
-              f"search {report.search_seconds:.2f}s  [{plan_src}]")
+              f"search {report.search_seconds:.2f}s  [{plan_src}]"
+              + _gap_note(report.search.memopt_gap))
         if args.diagram:
             print(ascii_timeline(graph, predicted, width=args.width))
             print("mem PP0: "
@@ -543,9 +544,14 @@ def _serve_socket(args, models) -> int:
     return 0
 
 
+def _gap_note(gap: Optional[float]) -> str:
+    """The certified memory-ILP gap as a suffix ("" for replayed plans)."""
+    return "" if gap is None else f"  ILP gap {gap * 100:.2f}%"
+
+
 def _print_drive_report(report, models, iterations) -> None:
-    """Per-iteration makespans/spread, outcome mix, first errors —
-    shared by the in-process and remote drive commands."""
+    """Per-iteration makespans/spread, certified ILP gap, outcome mix,
+    first errors — shared by the in-process and remote drive commands."""
     for model in models:
         for i in range(iterations):
             makespans = report.makespans(model, i)
@@ -553,9 +559,13 @@ def _print_drive_report(report, models, iterations) -> None:
                 print(f"  {model} iter {i}: no replica received a plan")
                 continue
             spread = max(makespans) - min(makespans)
+            gaps = [r.memopt_gap for r in report.records
+                    if r.job == model and r.iteration == i
+                    and r.memopt_gap is not None]
             print(f"  {model} iter {i}: {len(makespans)} replicas, "
                   f"makespan {makespans[0] / 1e3:6.2f}s "
-                  f"(spread {spread:.2e} ms)")
+                  f"(spread {spread:.2e} ms)"
+                  + _gap_note(max(gaps) if gaps else None))
     outcomes = report.by_outcome()
     print("outcomes: " + ", ".join(f"{k}={v}"
                                    for k, v in sorted(outcomes.items())))

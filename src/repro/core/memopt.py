@@ -9,11 +9,16 @@ buckets (selected with a multiple-choice knapsack).
 Online, with the stage interleaving fixed, each pipeline rank solves an
 ILP choosing one candidate per stage pair to minimise total latency under
 the memory limit at every probe time — warm-started greedily and allowed
-a small optimality gap, as in the paper.
+a small optimality gap, as in the paper.  The gap is certified, not
+assumed: a rank whose greedy selection is within ``rel_gap`` of the root
+LP bound keeps it without a search, and only the remaining ranks run
+branch-and-bound (see :mod:`repro.solver.bnb`).  :class:`MemoptReport`
+records each rank's certified gap.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -220,12 +225,25 @@ def apply_uniform_memory_policy(graph: IterationGraph) -> bool:
 
 @dataclass
 class MemoptReport:
-    """Result of the per-rank memory optimization pass."""
+    """Result of the per-rank memory optimization pass.
+
+    Attributes:
+        per_rank_optimal: Rank ``r``'s selection is certified within the
+            pass's ``rel_gap`` of the rank's ILP optimum (by the root
+            bound or by branch-and-bound).  An empty rank is trivially
+            certified.
+        per_rank_gap: The solver's ``(latency - lower_bound) / latency``
+            for each rank (0 when the selection costs no extra latency);
+            ``inf`` when even the min-memory selection breaks the cap.
+        per_rank_nodes: Branch-and-bound nodes expanded per rank (0 for
+            a rank certified at the root).
+    """
 
     extra_ms_before: float
     extra_ms_after: float
     per_rank_optimal: List[bool] = field(default_factory=list)
     per_rank_nodes: List[int] = field(default_factory=list)
+    per_rank_gap: List[float] = field(default_factory=list)
 
     @property
     def improvement_ms(self) -> float:
@@ -257,18 +275,44 @@ def _rank_problem(
         intervals.append((s, t))
         latencies.append([c.total_extra_ms for c in pair.candidates])
         memories.append([c.resident_bytes for c in pair.candidates])
-    cliques: List[List[int]] = []
-    for i, (s_i, _t_i) in enumerate(intervals):
-        active = [
-            j
-            for j, (s_j, t_j) in enumerate(intervals)
-            if s_j <= s_i <= t_j
-        ]
-        cliques.append(active)
+    cliques = _interval_cliques(intervals)
     limit = graph.memory_limit_bytes - graph.static_bytes_per_rank[rank]
     return pair_ids, McIntervalProblem(
         latencies=latencies, memories=memories, cliques=cliques, limit=limit
     )
+
+
+def _interval_cliques(intervals: Sequence[Tuple[float, float]]) -> List[List[int]]:
+    """Maximal sets of intervals resident together at some interval start.
+
+    One sweep over the starts in time order tracks the closed intervals
+    ``[s, t]`` resident at each distinct start (the probe times of the
+    section 5.3 constraints).  A set contained in another one is dropped:
+    its memory constraint is implied, because resident bytes are
+    non-negative.  Intervals are contiguous, so a set contained in a
+    later (earlier) one is contained in the next (previous) distinct
+    set, and comparing neighbours finds every such set.  Members are
+    listed in index order.
+    """
+    order = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
+    ends: List[Tuple[float, int]] = []  # min-heap of (end, index) resident
+    sets: List[List[int]] = []
+    opened = 0
+    for start in sorted({s for s, _t in intervals}):
+        while opened < len(order) and intervals[order[opened]][0] <= start:
+            i = order[opened]
+            heapq.heappush(ends, (intervals[i][1], i))
+            opened += 1
+        while ends and ends[0][0] < start:
+            heapq.heappop(ends)
+        sets.append(sorted(i for _t, i in ends))
+    # Collapse repeats, then drop every set contained in a neighbour.
+    sets = [m for k, m in enumerate(sets) if m and (k == 0 or m != sets[k - 1])]
+    return [
+        m for k, m in enumerate(sets)
+        if not (k > 0 and set(m) <= set(sets[k - 1]))
+        and not (k + 1 < len(sets) and set(m) <= set(sets[k + 1]))
+    ]
 
 
 def optimize_memory(
@@ -286,10 +330,15 @@ def optimize_memory(
         start_ms / end_ms: Tentative stage timestamps from the
             interleaver, defining each pair's residency interval.
         rel_gap: Allowed optimality gap (the paper permits 5%).
-        exact: Run branch-and-bound after the greedy warm start; the
-            searcher's inner loop disables this for speed and only the
-            final schedule gets the exact pass.
+        exact: Let ranks that the root bound cannot certify fall back to
+            branch-and-bound.  When disabled, every rank keeps its greedy
+            selection and only reports its certified gap.
         node_limit: Branch-and-bound node budget per rank.
+
+    Each rank's greedy warm start is first checked against the root
+    lower bound of :func:`~repro.solver.bnb.solve_mc_interval`; a rank
+    within ``rel_gap`` keeps it without expanding a node.  The report's
+    ``per_rank_optimal`` / ``per_rank_gap`` carry the certification.
     """
     fw_start: Dict[int, float] = {}
     bw_end: Dict[int, float] = {}
@@ -302,11 +351,13 @@ def optimize_memory(
     before = sum(p.strategy.total_extra_ms for p in graph.pairs)
     optimal_flags: List[bool] = []
     nodes: List[int] = []
+    gaps: List[float] = []
     for rank in range(graph.num_ranks):
         pair_ids, problem = _rank_problem(graph, rank, fw_start, bw_end)
         if not pair_ids:
             optimal_flags.append(True)
             nodes.append(0)
+            gaps.append(0.0)
             continue
         warm = greedy_warm_start(problem)
         if warm is None:
@@ -320,19 +371,16 @@ def optimize_memory(
                 )
             optimal_flags.append(False)
             nodes.append(0)
+            gaps.append(float("inf"))
             continue
-        if exact:
-            solution = solve_mc_interval(
-                problem, warm_start=warm, rel_gap=rel_gap, node_limit=node_limit
-            )
-            selection = solution.selection
-            optimal_flags.append(solution.optimal)
-            nodes.append(solution.nodes_expanded)
-        else:
-            selection = warm
-            optimal_flags.append(False)
-            nodes.append(0)
-        for pid, choice in zip(pair_ids, selection):
+        solution = solve_mc_interval(
+            problem, warm_start=warm, rel_gap=rel_gap,
+            node_limit=node_limit if exact else 0,
+        )
+        optimal_flags.append(solution.optimal)
+        nodes.append(solution.nodes_expanded)
+        gaps.append(solution.gap)
+        for pid, choice in zip(pair_ids, solution.selection):
             graph.pairs[pid].selected = choice
 
     after = sum(p.strategy.total_extra_ms for p in graph.pairs)
@@ -341,4 +389,5 @@ def optimize_memory(
         extra_ms_after=after,
         per_rank_optimal=optimal_flags,
         per_rank_nodes=nodes,
+        per_rank_gap=gaps,
     )

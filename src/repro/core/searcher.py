@@ -88,6 +88,14 @@ class SearchResult:
     def trace(self) -> List:
         return self.reorder.trace if self.reorder is not None else []
 
+    @property
+    def memopt_gap(self) -> Optional[float]:
+        """Worst per-rank certified gap of this search's memory ILP;
+        ``None`` when no memory optimization ran (cache replays)."""
+        if self.memopt is None:
+            return None
+        return max(self.memopt.per_rank_gap, default=0.0)
+
 
 class ScheduleSearcher:
     """Searches pipeline schedules for iteration graphs.

@@ -466,6 +466,7 @@ class FleetClient:
             "queue_wait_s": 0.0,
             "cache_hit": result.cache_hit,
             "cache_tier": result.cache_tier,
+            "memopt_gap": result.memopt_gap,
         }
         return result, report
 
@@ -493,6 +494,7 @@ class FleetClient:
                 latency_s=time.monotonic() - t0,
                 queue_wait_s=report.get("queue_wait_s") or 0.0,
                 signature=result.signature,
+                memopt_gap=report.get("memopt_gap"),
             ))
         return self.records
 

@@ -40,6 +40,9 @@ class ReplicaRecord:
     queue_wait_s: float
     signature: Optional[str] = None
     observed_ms: Optional[float] = None
+    #: Certified memory-ILP gap of the search that made the plan; None
+    #: for replayed plans (cache hits, coalesced waiters).
+    memopt_gap: Optional[float] = None
 
     @property
     def sim_error(self) -> Optional[float]:
@@ -110,6 +113,7 @@ class ReplicaClient:
                 latency_s=ticket.latency_s or 0.0,
                 queue_wait_s=ticket.queue_wait_s or 0.0,
                 signature=result.signature,
+                memopt_gap=result.memopt_gap,
             ))
         return self.records
 
@@ -228,5 +232,6 @@ def run_recalibrating_replica(
             queue_wait_s=ticket.queue_wait_s or 0.0,
             signature=result.signature,
             observed_ms=trace.total_ms,
+            memopt_gap=result.memopt_gap,
         ))
     return report

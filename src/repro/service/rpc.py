@@ -862,6 +862,7 @@ class PlanServiceServer:
                     "cache_tier": result.cache_tier,
                     "warm_started": result.warm_started,
                     "memo_hits": result.memo_hits,
+                    "memopt_gap": result.memopt_gap,
                     "latency_s": ticket.latency_s,
                     "queue_wait_s": ticket.queue_wait_s,
                     "label": result.schedule.label,

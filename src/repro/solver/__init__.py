@@ -7,9 +7,10 @@ provides:
 
 * :mod:`repro.solver.mckp` — multiple-choice knapsack used during offline
   candidate generation.
-* :mod:`repro.solver.bnb` — a best-first branch-and-bound solver for the
-  multiple-choice selection problem with interval memory constraints
-  (warm start + relative-gap early termination).
+* :mod:`repro.solver.bnb` — the multiple-choice selection problem with
+  interval memory constraints: a greedy warm start certified against a
+  per-clique LP bound at the root, with best-first branch-and-bound
+  (relative-gap early termination) for instances it cannot certify.
 * :mod:`repro.solver.scipy_backend` — the same problem via
   ``scipy.optimize.milp`` (HiGHS), used for cross-checking and as the
   "commercial solver" stand-in of the Fig. 12 scalability baseline.
@@ -22,6 +23,7 @@ from repro.solver.bnb import (
     McIntervalProblem,
     McIntervalSolution,
     greedy_warm_start,
+    mc_interval_lower_bound,
     solve_mc_interval,
 )
 
@@ -30,5 +32,6 @@ __all__ = [
     "McIntervalProblem",
     "McIntervalSolution",
     "greedy_warm_start",
+    "mc_interval_lower_bound",
     "solve_mc_interval",
 ]

@@ -7,7 +7,17 @@ a multiple-choice selection problem with interval (clique) constraints.
 
 The solver follows the paper's two efficiency tricks: it is warm-started
 with a greedy solution and terminates early at a configurable relative
-optimality gap (default 5%).
+optimality gap (default 5%).  The gap is proven against a lower bound:
+
+* **Root certification.**  :func:`mc_interval_lower_bound` relaxes the
+  problem to one clique at a time, solved as a fractional multiple-choice
+  knapsack over each pair's convex (memory, latency) hull.  A warm start
+  within ``rel_gap`` of it is returned with no node expanded.
+* **Fallback.**  Other instances run best-first branch-and-bound from the
+  warm start until the gap closes or the node budget runs out.
+
+:attr:`McIntervalSolution.optimal` means "certified within ``rel_gap``",
+and :attr:`McIntervalSolution.gap` is the certified relative gap.
 """
 
 from __future__ import annotations
@@ -66,7 +76,15 @@ class McIntervalProblem:
 
 @dataclass
 class McIntervalSolution:
-    """Solver output."""
+    """Solver output.
+
+    Attributes:
+        lower_bound: Best proven lower bound on the optimal latency.
+        optimal: ``latency`` is certified within the solve's ``rel_gap``
+            of ``lower_bound`` (exactly optimal when ``rel_gap`` is 0).
+        nodes_expanded: Branch-and-bound nodes expanded; 0 when the warm
+            start was certified at the root.
+    """
 
     selection: List[int]
     latency: float
@@ -87,7 +105,14 @@ def greedy_warm_start(problem: McIntervalProblem) -> Optional[List[int]]:
     Starts from every pair's lowest-memory candidate (the most feasible
     point), then repeatedly applies the single-candidate upgrade with the
     best latency-saved / memory-added ratio that keeps all cliques
-    feasible.
+    feasible — the first such upgrade in ``(pair, candidate)`` order on
+    ties.  Upgrades that free memory rank first (infinite ratio).
+
+    The candidate upgrades live in a heap keyed ``(-ratio, i, j)``; an
+    upgrade of pair ``i`` bumps ``i``'s version, which lazily invalidates
+    its queued entries.  An upgrade that does not fit is set aside: clique
+    usage only grows while upgrades add memory, so it cannot fit later
+    unless an upgrade frees (or adds no) memory, which re-admits it.
     """
     n = problem.num_pairs
     selection = [
@@ -101,42 +126,123 @@ def greedy_warm_start(problem: McIntervalProblem) -> Optional[List[int]]:
         sum(problem.memories[i][selection[i]] for i in clique)
         for clique in problem.cliques
     ]
-    cliques_of_pair: List[List[int]] = [[] for _ in range(n)]
+    cliques_of_pair = _cliques_of_pair(problem)
+    limit = problem.limit + 1e-6
+    version = [0] * n
+    heap: List[Tuple[float, int, int, int, float]] = []
+
+    def push_upgrades(i: int) -> None:
+        cur_lat = problem.latencies[i][selection[i]]
+        cur_mem = problem.memories[i][selection[i]]
+        for j, lat in enumerate(problem.latencies[i]):
+            saved = cur_lat - lat
+            if saved <= 1e-12:
+                continue
+            extra = problem.memories[i][j] - cur_mem
+            ratio = float("inf") if extra <= 0 else saved / extra
+            heapq.heappush(heap, (-ratio, i, j, version[i], extra))
+
+    for i in range(n):
+        push_upgrades(i)
+    set_aside: List[Tuple[float, int, int, int, float]] = []
+    while heap:
+        entry = heapq.heappop(heap)
+        _key, i, j, ver, extra = entry
+        if ver != version[i]:
+            continue
+        if extra > 0 and not all(
+            clique_usage[c] + extra <= limit for c in cliques_of_pair[i]
+        ):
+            set_aside.append(entry)
+            continue
+        selection[i] = j
+        for c in cliques_of_pair[i]:
+            clique_usage[c] += extra
+        version[i] += 1
+        push_upgrades(i)
+        if extra <= 0:
+            for entry in set_aside:
+                heapq.heappush(heap, entry)
+            set_aside = []
+    return selection
+
+
+def _cliques_of_pair(problem: McIntervalProblem) -> List[List[int]]:
+    """For every pair, the indices of the cliques it belongs to."""
+    cliques_of_pair: List[List[int]] = [[] for _ in range(problem.num_pairs)]
     for c, clique in enumerate(problem.cliques):
         for i in clique:
             cliques_of_pair[i].append(c)
+    return cliques_of_pair
 
-    improved = True
-    while improved:
-        improved = False
-        best: Optional[Tuple[float, int, int, float]] = None
-        for i in range(n):
-            cur_lat = problem.latencies[i][selection[i]]
-            cur_mem = problem.memories[i][selection[i]]
-            for j in range(len(problem.latencies[i])):
-                saved = cur_lat - problem.latencies[i][j]
-                if saved <= 1e-12:
-                    continue
-                extra = problem.memories[i][j] - cur_mem
-                if extra <= 0:
-                    ratio = float("inf")
-                else:
-                    fits = all(
-                        clique_usage[c] + extra <= problem.limit + 1e-6
-                        for c in cliques_of_pair[i]
-                    )
-                    if not fits:
-                        continue
-                    ratio = saved / extra
-                if best is None or ratio > best[0]:
-                    best = (ratio, i, j, extra)
-        if best is not None:
-            _ratio, i, j, extra = best
-            selection[i] = j
-            for c in cliques_of_pair[i]:
-                clique_usage[c] += extra
-            improved = True
-    return selection
+
+def _savings_hull(lats: Sequence[float], mems: Sequence[float]
+                  ) -> Tuple[float, float, List[Tuple[float, float, float]]]:
+    """One pair's LP relaxation as ``(base_mem, base_lat, segments)``.
+
+    ``(base_mem, base_lat)`` is the pair's min-memory candidate; the
+    segments ``(ms_saved_per_byte, extra_bytes, lat_after)`` walk the
+    lower convex hull of its (memory, latency) candidates from there,
+    steepest first, down to its minimum latency.  Taking a prefix of them
+    (the last one fractionally) traces the least latency any convex
+    combination of candidates reaches within a memory allowance.
+    """
+    points = sorted(zip(mems, lats))
+    hull = [points[0]]
+    for mem, lat in points[1:]:
+        if lat >= hull[-1][1]:
+            continue  # saves nothing over a cheaper point
+        while len(hull) >= 2:
+            (m0, l0), (m1, l1) = hull[-2], hull[-1]
+            if (l1 - l0) * (mem - m0) >= (lat - l0) * (m1 - m0):
+                hull.pop()  # on or above the chord to (mem, lat)
+            else:
+                break
+        hull.append((mem, lat))
+    segments = [((l0 - l1) / (m1 - m0), m1 - m0, l1)
+                for (m0, l0), (m1, l1) in zip(hull, hull[1:])]
+    return hull[0][0], hull[0][1], segments
+
+
+def mc_interval_lower_bound(problem: McIntervalProblem) -> float:
+    """Root lower bound: the tightest single-clique LP relaxation.
+
+    For each clique, its member pairs share ``limit`` fractionally (a
+    multiple-choice knapsack LP: start every member at its min-memory
+    candidate and spend the remaining bytes on the hull segments with the
+    most ms saved per byte) while every other pair takes its minimum
+    latency.  Each such value relaxes the problem, so their maximum is a
+    valid lower bound — and, unlike the sum of minimum latencies, it
+    grows with the latency that memory pressure forces.
+    """
+    n = problem.num_pairs
+    min_lat = [min(lats) for lats in problem.latencies]
+    bound = sum(min_lat)
+    hulls = [_savings_hull(problem.latencies[i], problem.memories[i])
+             for i in range(n)]
+    for clique in problem.cliques:
+        members = set(clique)
+        room = problem.limit + 1e-6 - sum(hulls[i][0] for i in members)
+        segments = sorted(
+            (-slope, i, k, extra, lat_after)
+            for i in members
+            for k, (slope, extra, lat_after) in enumerate(hulls[i][2])
+        )
+        # Each member's latency at the hull vertex it reaches; at most one
+        # segment is taken fractionally.  Slopes fall along a pair's hull,
+        # so its segments are taken in order.
+        reached = {i: hulls[i][1] for i in members}
+        partial = 0.0
+        for _neg_slope, i, _k, extra, lat_after in segments:
+            if extra > room:
+                partial = (reached[i] - lat_after) * max(room, 0.0) / extra
+                break
+            room -= extra
+            reached[i] = lat_after
+        value = (sum(reached.values()) - partial
+                 + sum(min_lat[i] for i in range(n) if i not in members))
+        bound = max(bound, value)
+    return bound
 
 
 def solve_mc_interval(
@@ -145,13 +251,23 @@ def solve_mc_interval(
     rel_gap: float = 0.05,
     node_limit: int = 200_000,
 ) -> McIntervalSolution:
-    """Best-first branch-and-bound with warm start and gap termination.
+    """Certify the warm start at the root, else branch-and-bound.
 
-    The lower bound at a node is the sum of fixed latencies plus each
-    unfixed pair's minimum candidate latency (memory relaxed) — cheap and
-    admissible.  Nodes branch on the unfixed pair with the largest
-    latency spread.  Infeasible nodes (min-memory completion violating a
-    clique) are pruned.
+    The incumbent (``warm_start``, or :func:`greedy_warm_start`) is first
+    checked against :func:`mc_interval_lower_bound`: when it is within
+    ``rel_gap`` of that bound it is returned at once, with no node
+    expanded.  Otherwise a best-first branch-and-bound runs from it.  Its
+    node bound is the sum of fixed latencies plus each unfixed pair's
+    minimum candidate latency (memory relaxed) — cheap and admissible.
+    Nodes branch on the unfixed pair with the largest latency spread;
+    infeasible nodes (min-memory completion violating a clique) are
+    pruned.  The search stops when the best open node is within
+    ``rel_gap`` of the incumbent, or after ``node_limit`` expansions.
+
+    The solution's ``lower_bound`` is the best proven bound (root bound
+    or search bound, whichever is higher; the latency itself once the
+    search is exhaustive), and ``optimal`` reports whether the returned
+    selection is certified within ``rel_gap`` of it.
 
     Raises:
         ValueError: if no feasible solution exists.
@@ -174,15 +290,21 @@ def solve_mc_interval(
     order = sorted(range(n), key=lambda i: -spread[i])
     root_bound = sum(min_lat)
 
-    cliques_of_pair: List[List[int]] = [[] for _ in range(n)]
-    for c, clique in enumerate(problem.cliques):
-        for i in clique:
-            cliques_of_pair[i].append(c)
+    cliques_of_pair = _cliques_of_pair(problem)
     clique_min = [
         sum(min_mem[i] for i in clique) for clique in problem.cliques
     ]
     if any(m > problem.limit + 1e-6 for m in clique_min):
         raise ValueError("problem infeasible even at minimum memory")
+
+    lp_bound = mc_interval_lower_bound(problem)
+    if incumbent is not None and _certified(best_lat, lp_bound, rel_gap):
+        return McIntervalSolution(
+            selection=incumbent,
+            latency=best_lat,
+            lower_bound=min(lp_bound, best_lat),
+            optimal=True,
+        )
 
     counter = itertools.count()
     # Node: (bound, tiebreak, depth, partial selection, clique slack used)
@@ -200,9 +322,9 @@ def solve_mc_interval(
             break  # best-first: nothing better remains
         if best_lat < float("inf") and (best_lat - bound) <= rel_gap * best_lat:
             break  # within the allowed optimality gap
-        nodes += 1
-        if nodes > node_limit:
+        if nodes >= node_limit:
             break
+        nodes += 1
         pair = order[depth]
         fixed_lat = sum(
             problem.latencies[order[d]][partial[d]] for d in range(depth)
@@ -236,15 +358,21 @@ def solve_mc_interval(
                     heap,
                     (new_bound, next(counter), depth + 1, new_partial, tuple(new_use)),
                 )
+    else:
+        global_lb = best_lat  # every node expanded or pruned: optimal
 
     if incumbent is None:
         raise ValueError("no feasible solution found")
-    lower = min(global_lb, best_lat)
-    optimal = not heap or best_lat - lower <= 1e-9
+    lower = min(max(global_lb, lp_bound), best_lat)
     return McIntervalSolution(
         selection=list(incumbent),
         latency=best_lat,
         lower_bound=lower,
-        optimal=optimal,
+        optimal=_certified(best_lat, lower, rel_gap),
         nodes_expanded=nodes,
     )
+
+
+def _certified(latency: float, lower_bound: float, rel_gap: float) -> bool:
+    """Whether ``latency`` is proven within ``rel_gap`` of optimal."""
+    return latency - lower_bound <= rel_gap * latency + 1e-9

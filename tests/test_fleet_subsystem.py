@@ -399,7 +399,10 @@ class TestLauncher:
             client.run()
             assert not client.errors
 
-            victim = fleet.shards[0]
+            # Kill a shard that served this stream (ring placement
+            # depends on the socket paths, so it may be either shard).
+            served = {address for _digest, address in client.routes}
+            victim = next(s for s in fleet.shards if s.address in served)
             victim.process.send_signal(signal.SIGKILL)
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:

@@ -1,13 +1,23 @@
 """Tests for per-layer memory optimization (section 5.3)."""
 
+import math
+
+import numpy as np
 import pytest
 
+from repro.cluster.topology import ParallelConfig, cluster_h800
 from repro.core.interleaver import interleave_stages
 from repro.core.memopt import (
     DEFAULT_NUM_CANDIDATES,
+    _interval_cliques,
     generate_candidates,
     optimize_memory,
 )
+from repro.core.planner import OnlinePlanner
+from repro.data.workload import vlm_workload
+from repro.models.lmm import build_combination
+from repro.models.zoo import combination_by_name
+from repro.sim.costmodel import CostModel
 from repro.sim.pipeline import simulate_pipeline
 
 
@@ -106,6 +116,99 @@ class TestOptimizeMemory:
                                 parallel2, cost_model)
         assert sim.memory_exceeded == []
         assert report.improvement_ms >= 0
+
+
+    def test_infeasible_rank_reports_infinite_gap(self, vlm_graph,
+                                                  small_cluster, parallel2,
+                                                  cost_model):
+        inter = self._prepared(vlm_graph, small_cluster, parallel2, cost_model)
+        vlm_graph.memory_limit_bytes = min(vlm_graph.static_bytes_per_rank)
+        report = optimize_memory(vlm_graph, inter.start_ms, inter.end_ms)
+        assert report.per_rank_gap == [math.inf] * vlm_graph.num_ranks
+        assert report.per_rank_optimal == [False] * vlm_graph.num_ranks
+
+    def test_report_gap_matches_certification(self, vlm_graph, small_cluster,
+                                              parallel2, cost_model):
+        inter = self._prepared(vlm_graph, small_cluster, parallel2, cost_model)
+        report = optimize_memory(vlm_graph, inter.start_ms, inter.end_ms)
+        assert len(report.per_rank_gap) == vlm_graph.num_ranks
+        for gap, certified in zip(report.per_rank_gap,
+                                  report.per_rank_optimal):
+            assert 0.0 <= gap <= 1.0
+            assert certified == (gap <= 0.05 + 1e-9)
+
+
+@pytest.fixture(scope="module")
+def vlm_m16():
+    """A VLM-M iteration of 16 microbatches, interleaved at the most
+    memory-efficient selection: the shape of a served cold VLM-M search,
+    where every rank's memory ILP is non-trivial."""
+    combo = combination_by_name("VLM-M")
+    arch = build_combination(combo)
+    parallel = ParallelConfig(dp=1, tp=combo.tp, pp=combo.pp)
+    cluster = cluster_h800(max(1, parallel.world_size // 8))
+    cost_model = CostModel()
+    planner = OnlinePlanner(arch, cluster, parallel, cost_model,
+                            enable_plan_cache=False)
+    graph = planner.prepare(vlm_workload(16, seed=101).next_batch()).graph
+    generate_candidates(graph)
+    graph.select_most_memory_efficient()
+    inter = interleave_stages(graph, cluster, parallel, cost_model)
+    return graph, inter
+
+
+class TestCertification:
+    #: Per-rank extra ms selected by the previous solver, which ran
+    #: branch-and-bound to its 20,000-node cap on every rank and kept the
+    #: greedy selection.
+    RECORDED_EXTRA_MS = [425.4544000570793, 283.7026436856388,
+                         145.74780935986172, 57.846518059949766]
+
+    def test_every_rank_certified_at_the_root(self, vlm_m16):
+        graph, inter = vlm_m16
+        report = optimize_memory(graph, inter.start_ms, inter.end_ms)
+        assert report.per_rank_nodes == [0] * graph.num_ranks
+        assert report.per_rank_optimal == [True] * graph.num_ranks
+        assert all(0.0 < gap <= 0.05 for gap in report.per_rank_gap)
+        extra = [sum(p.strategy.total_extra_ms for p in graph.pairs
+                     if p.rank == rank) for rank in range(graph.num_ranks)]
+        assert extra == self.RECORDED_EXTRA_MS
+
+    def test_greedy_only_still_reports_gap(self, vlm_m16):
+        graph, inter = vlm_m16
+        exact = optimize_memory(graph, inter.start_ms, inter.end_ms)
+        graph.select_most_memory_efficient()
+        greedy = optimize_memory(graph, inter.start_ms, inter.end_ms,
+                                 exact=False)
+        assert greedy.per_rank_gap == exact.per_rank_gap
+        assert greedy.per_rank_optimal == exact.per_rank_optimal
+        assert greedy.extra_ms_after == exact.extra_ms_after
+
+
+def scan_cliques(intervals):
+    """Reference: one clique per interval start, by a quadratic scan."""
+    return [[j for j, (s_j, t_j) in enumerate(intervals) if s_j <= s_i <= t_j]
+            for s_i, _t_i in intervals]
+
+
+class TestIntervalCliques:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_maximal_subset_of_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 14))
+        starts = rng.integers(0, 12, n)  # integer times: shared endpoints
+        lengths = rng.integers(-1, 8, n)  # a few empty (t < s) intervals
+        intervals = [(float(s), float(s + l)) for s, l in zip(starts, lengths)]
+        swept = _interval_cliques(intervals)
+        scanned = [c for c in scan_cliques(intervals) if c]
+        assert all(c == sorted(c) for c in swept)
+        # Every swept clique is a probe-time clique of the scan ...
+        assert all(c in scanned for c in swept)
+        # ... every scan clique lies inside a swept one ...
+        assert all(any(set(c) <= set(m) for m in swept) for c in scanned)
+        # ... and the swept ones are distinct and maximal.
+        assert not any(set(a) <= set(b) for i, a in enumerate(swept)
+                       for j, b in enumerate(swept) if i != j)
 
 
 class TestCandidateMemoization:

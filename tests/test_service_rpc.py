@@ -347,6 +347,9 @@ class TestCrossProcessPlanning:
                                                         rel=1e-12)
         assert records[0].outcome == OUTCOME_SEARCH
         assert records[0].signature == solo.signature
+        # The searched plan carries its certified memory-ILP gap.
+        assert records[0].memopt_gap == solo.memopt_gap
+        assert records[0].memopt_gap == max(solo.memopt.per_rank_gap)
 
     def test_coalescing_across_connections(self, serving, make_planner):
         """Two connections (two would-be processes) submitting the same
@@ -461,6 +464,7 @@ class TestCrossProcessPlanning:
         remote.close()
         assert not remote.errors
         assert records[0].outcome == "hit"  # prewarmed → replay
+        assert records[0].memopt_gap is None  # no ILP ran for a hit
 
     def test_observe_roundtrip_syncs_cost_model(self, serving,
                                                 make_planner, cost_model):

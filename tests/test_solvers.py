@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.solver.bnb import (
     McIntervalProblem,
     greedy_warm_start,
+    mc_interval_lower_bound,
     solve_mc_interval,
 )
 from repro.solver.mckp import mckp_min_latency
@@ -90,6 +91,152 @@ def random_interval_problem(seed, pairs=5, cands=3):
     return McIntervalProblem(latencies, memories, cliques, limit)
 
 
+def scan_greedy(problem):
+    """Reference greedy: rescan every (pair, candidate) per upgrade.
+
+    The straightforward O(upgrades x candidates) form of
+    :func:`greedy_warm_start`, kept as its differential oracle: apply the
+    first upgrade in (pair, candidate) order with the best latency-saved
+    / memory-added ratio among those that keep every clique feasible.
+    """
+    n = problem.num_pairs
+    selection = [
+        min(range(len(problem.memories[i])), key=lambda j: (problem.memories[i][j],
+                                                            problem.latencies[i][j]))
+        for i in range(n)
+    ]
+    if not problem.is_feasible(selection):
+        return None
+    clique_usage = [
+        sum(problem.memories[i][selection[i]] for i in clique)
+        for clique in problem.cliques
+    ]
+    cliques_of_pair = [[] for _ in range(n)]
+    for c, clique in enumerate(problem.cliques):
+        for i in clique:
+            cliques_of_pair[i].append(c)
+
+    improved = True
+    while improved:
+        improved = False
+        best = None
+        for i in range(n):
+            cur_lat = problem.latencies[i][selection[i]]
+            cur_mem = problem.memories[i][selection[i]]
+            for j in range(len(problem.latencies[i])):
+                saved = cur_lat - problem.latencies[i][j]
+                if saved <= 1e-12:
+                    continue
+                extra = problem.memories[i][j] - cur_mem
+                if extra <= 0:
+                    ratio = float("inf")
+                else:
+                    fits = all(
+                        clique_usage[c] + extra <= problem.limit + 1e-6
+                        for c in cliques_of_pair[i]
+                    )
+                    if not fits:
+                        continue
+                    ratio = saved / extra
+                if best is None or ratio > best[0]:
+                    best = (ratio, i, j, extra)
+        if best is not None:
+            _ratio, i, j, extra = best
+            selection[i] = j
+            for c in cliques_of_pair[i]:
+                clique_usage[c] += extra
+            improved = True
+    return selection
+
+
+def brute_force_interval(problem):
+    """Optimal latency of a small instance by enumeration (None if
+    infeasible)."""
+    best = None
+    for combo in itertools.product(*[range(len(l)) for l in problem.latencies]):
+        if problem.is_feasible(combo):
+            lat = problem.total_latency(combo)
+            best = lat if best is None else min(best, lat)
+    return best
+
+
+def adversarial_interval_problem(seed):
+    """A small instance built to stress the greedy and the root bound.
+
+    Candidates are unsorted and often not Pareto-optimal (a faster one
+    may also be leaner), values are often small integers so ratios tie,
+    a zero-latency candidate is common (the "keep" strategy), and the
+    cliques overlap, repeat, and may leave pairs unconstrained.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = int(rng.integers(1, 6))
+    integral = bool(rng.integers(0, 2))
+
+    def value(high):
+        return float(rng.integers(0, high + 1)) if integral else float(
+            rng.uniform(0, high))
+
+    latencies, memories = [], []
+    for _ in range(pairs):
+        k = int(rng.integers(1, 5))
+        lats = [value(8) for _ in range(k)]
+        if rng.random() < 0.5:
+            lats[int(rng.integers(0, k))] = 0.0
+        latencies.append(lats)
+        memories.append([value(10) for _ in range(k)])
+    cliques = []
+    for _ in range(int(rng.integers(0, 4))):
+        size = int(rng.integers(1, pairs + 1))
+        cliques.append(sorted(rng.choice(pairs, size=size,
+                                         replace=False).tolist()))
+    if cliques and rng.random() < 0.3:
+        cliques.append(list(cliques[int(rng.integers(0, len(cliques)))]))
+    min_need = max((sum(min(memories[i]) for i in c) for c in cliques),
+                   default=0.0)
+    max_need = max((sum(max(memories[i]) for i in c) for c in cliques),
+                   default=0.0)
+    limit = min_need + rng.uniform(0, 1.2) * (max_need - min_need)
+    if integral and rng.random() < 0.5:
+        limit = float(np.floor(limit))  # often exactly tight
+    return McIntervalProblem(latencies, memories, cliques, max(limit, min_need))
+
+
+DIFFERENTIAL_SEEDS = range(400)
+
+
+class TestDifferential:
+    """The heap greedy, the root bound and the solver against oracles."""
+
+    def test_greedy_matches_scan_oracle(self):
+        for seed in DIFFERENTIAL_SEEDS:
+            problem = adversarial_interval_problem(seed)
+            assert greedy_warm_start(problem) == scan_greedy(problem), seed
+
+    def test_greedy_matches_scan_oracle_on_pareto_instances(self):
+        for seed in range(200):
+            problem = random_interval_problem(seed, pairs=8, cands=4)
+            assert greedy_warm_start(problem) == scan_greedy(problem), seed
+
+    def test_root_bound_below_optimum(self):
+        for seed in DIFFERENTIAL_SEEDS:
+            problem = adversarial_interval_problem(seed)
+            optimum = brute_force_interval(problem)
+            assert mc_interval_lower_bound(problem) <= optimum + 1e-9, seed
+
+    @pytest.mark.parametrize("rel_gap", [0.0, 0.05, 0.3])
+    def test_solution_feasible_and_within_gap(self, rel_gap):
+        for seed in DIFFERENTIAL_SEEDS:
+            problem = adversarial_interval_problem(seed)
+            optimum = brute_force_interval(problem)
+            solution = solve_mc_interval(problem, rel_gap=rel_gap)
+            assert problem.is_feasible(solution.selection), seed
+            assert solution.latency == pytest.approx(
+                problem.total_latency(solution.selection))
+            assert solution.latency <= optimum * (1 + rel_gap) + 1e-9, seed
+            assert solution.lower_bound <= optimum + 1e-9, seed
+            assert solution.optimal, seed  # node budget is ample here
+
+
 class TestBranchAndBound:
     def test_no_constraint_picks_fastest(self):
         problem = McIntervalProblem(
@@ -142,6 +289,58 @@ class TestBranchAndBound:
         ours = solve_mc_interval(problem, rel_gap=0.0)
         milp = solve_mc_interval_milp(problem)
         assert ours.latency == pytest.approx(milp.latency, rel=1e-6, abs=1e-6)
+
+    def test_certified_at_root_expands_no_node(self):
+        problem = McIntervalProblem(
+            latencies=[[5.0, 1.0], [4.0, 2.0]],
+            memories=[[1.0, 2.0], [1.0, 2.0]],
+            cliques=[[0, 1]],
+            limit=3.0,  # one upgrade fits; greedy takes the better one
+        )
+        solution = solve_mc_interval(problem, rel_gap=0.05)
+        assert solution.nodes_expanded == 0
+        assert solution.optimal
+        assert solution.selection == [1, 0]
+
+    @staticmethod
+    def _integrality_gap_problem():
+        """The LP bound splits a 6-byte upgrade across both pairs (3.3
+        ms); integrally only one pair can upgrade (10 ms)."""
+        return McIntervalProblem(
+            latencies=[[10.0, 0.0], [10.0, 0.0]],
+            memories=[[0.0, 6.0], [0.0, 6.0]],
+            cliques=[[0, 1]],
+            limit=10.0,
+        )
+
+    def test_uncertified_root_falls_back_to_search(self):
+        problem = self._integrality_gap_problem()
+        root = mc_interval_lower_bound(problem)
+        assert root == pytest.approx(10.0 - 10.0 * 4.0 / 6.0)
+        solution = solve_mc_interval(problem, rel_gap=0.05)
+        assert solution.nodes_expanded > 0
+        assert solution.latency == 10.0
+        # Exhausted search: the incumbent is proven optimal.
+        assert solution.lower_bound == solution.latency
+        assert solution.optimal and solution.gap == 0.0
+
+    def test_node_cap_counts_expanded_nodes(self):
+        problem = self._integrality_gap_problem()
+        solution = solve_mc_interval(problem, rel_gap=0.0, node_limit=1)
+        assert solution.nodes_expanded == 1
+        # The capped search bound (0) is weaker than the root bound.
+        assert solution.lower_bound == pytest.approx(
+            mc_interval_lower_bound(problem))
+        assert not solution.optimal
+        assert solution.gap > 0.05
+
+    def test_zero_node_limit_keeps_warm_start(self):
+        problem = self._integrality_gap_problem()
+        warm = greedy_warm_start(problem)
+        solution = solve_mc_interval(problem, warm_start=warm, node_limit=0)
+        assert solution.selection == warm
+        assert solution.nodes_expanded == 0
+        assert not solution.optimal
 
     def test_empty_problem(self):
         problem = McIntervalProblem([], [], [], 10.0)
