@@ -12,9 +12,11 @@ in minutes; EXPERIMENTS.md records the scale used for every experiment.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -184,15 +186,18 @@ RECORD_RESULTS = False
 
 @functools.lru_cache(maxsize=None)
 def _unrecorded_results_dir() -> str:
-    return tempfile.mkdtemp(prefix="repro-results-")
+    path = tempfile.mkdtemp(prefix="repro-results-")
+    atexit.register(shutil.rmtree, path, True)
+    return path
 
 
 def save_results(name: str, payload) -> str:
     """Persist a benchmark's findings for EXPERIMENTS.md.
 
     They go to ``RESULTS_DIR`` only when :data:`RECORD_RESULTS` is set;
-    otherwise to a per-process temporary directory, so that running the
-    suite does not rewrite the committed results with timing noise.
+    otherwise to a per-process temporary directory (removed at exit), so
+    that running the suite does not rewrite the committed results with
+    timing noise.
     """
     directory = RESULTS_DIR if RECORD_RESULTS else _unrecorded_results_dir()
     os.makedirs(directory, exist_ok=True)

@@ -16,4 +16,7 @@ import common  # noqa: E402 — needs the path above
 
 
 def pytest_configure(config):
-    common.RECORD_RESULTS = config.getoption("--record-results")
+    # The default covers runs rooted inside benchmarks/, which do not
+    # load the repository-root conftest that declares the option.
+    common.RECORD_RESULTS = config.getoption("--record-results",
+                                             default=False)

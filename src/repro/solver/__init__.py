@@ -23,7 +23,6 @@ from repro.solver.bnb import (
     McIntervalProblem,
     McIntervalSolution,
     greedy_warm_start,
-    mc_interval_lower_bound,
     solve_mc_interval,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "McIntervalProblem",
     "McIntervalSolution",
     "greedy_warm_start",
-    "mc_interval_lower_bound",
     "solve_mc_interval",
 ]
