@@ -1,17 +1,20 @@
-"""Evaluation core: compiled kernel vs legacy evaluator throughput.
+"""Evaluation core: compiled kernel vs reference evaluator throughput.
 
 DIP's search-efficiency claims (section 6.2, Fig. 11) assume schedule
 evaluation is cheap enough to run ~120 rollouts per planned iteration.
 This benchmark measures the compiled evaluation core
 (:mod:`repro.core.evalcore`: one-shot graph arrays, heap-based
-interleaver kernel, one-pass simulator, rollout memo) against the
-legacy object-graph evaluators on the Fig. 11 workload:
+interleaver kernel, one-pass simulator) against the reference
+object-graph interleaver and retry-loop simulator on the Fig. 11
+workload:
 
 * **rollouts/sec** — the kernel scores random orderings >= 3x faster
-  than ``ScheduleSearcher.evaluate_ordering`` (score-for-score equal);
-* **end-to-end search** — identically seeded MCTS searches return the
-  same best makespan and winning per-rank order at the same budget,
-  with the kernel path strictly faster.
+  than :func:`~repro.core.interleaver.interleave_stages`
+  (score-for-score equal);
+* **end-to-end search** — the production searcher and the same seeded
+  MCTS over the reference evaluators return the same winning ordering,
+  per-rank order and best makespan at the same budget, with the kernel
+  path strictly faster.
 
 Results are committed to ``results/eval_core.json``; the same
 measurement is surfaced as ``repro perf-bench``.
@@ -32,7 +35,7 @@ ROLLOUTS = 60
 REPEATS = 5
 
 #: The committed results (results/eval_core.json) show the kernel >= 3x
-#: over the legacy evaluator; shared CI runners get a relaxed floor so a
+#: over the reference evaluator; shared CI runners get a relaxed floor so a
 #: noisy neighbour cannot flake the build (same convention as
 #: test_plan_cache.py).
 ON_CI = os.environ.get("CI", "").lower() in ("1", "true")
@@ -51,7 +54,7 @@ def test_eval_core_speedup(benchmark):
     roll = report["rollouts"]
     search = report["search"]
     print_table(
-        "Eval core: kernel vs legacy (Fig. 11 workload)",
+        "Eval core: kernel vs reference (Fig. 11 workload)",
         [
             {"leg": "rollouts/s", "legacy": roll["legacy_per_s"],
              "kernel": roll["kernel_per_s"], "speedup": roll["speedup"]},
@@ -69,7 +72,7 @@ def test_eval_core_speedup(benchmark):
 
     # The kernel must be decisively faster on the rollout hot path...
     assert roll["speedup"] >= SPEEDUP_FLOOR, (
-        f"kernel only {roll['speedup']:.2f}x over legacy "
+        f"kernel only {roll['speedup']:.2f}x over reference "
         f"(floor {SPEEDUP_FLOOR}x)"
     )
     # ...and end-to-end search must benefit, not just the microbenchmark.

@@ -9,9 +9,9 @@ the MCTS rollout scorer.
 
 import pytest
 
+from repro.core.evalcore import EvalCore
 from repro.core.interleaver import interleave_stages
 from repro.core.memopt import generate_candidates, optimize_memory
-from repro.core.searcher import ScheduleSearcher
 from repro.sim.pipeline import simulate_pipeline
 from repro.solver.bnb import greedy_warm_start, solve_mc_interval
 
@@ -95,10 +95,10 @@ def test_kernel_full_memopt(benchmark, vlm_env):
 
 @pytest.mark.benchmark(group="kernels")
 def test_kernel_single_rollout(benchmark, vlm_env):
-    """One MCTS rollout = one ordering evaluation."""
+    """One MCTS rollout = one ordering evaluation through the compiled
+    evaluation core, as the searcher scores it."""
     setup, graph, _ = vlm_env
-    searcher = ScheduleSearcher(setup.cluster, setup.parallel,
-                                setup.cost_model)
+    core = EvalCore(graph, setup.cluster, setup.parallel, setup.cost_model)
     groups = list(graph.groups().keys())
-    result = benchmark(lambda: searcher.evaluate_ordering(graph, groups))
+    result = benchmark(lambda: core.evaluate(groups))
     assert result > 0

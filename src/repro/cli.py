@@ -29,9 +29,8 @@ Commands:
                   the service against serial per-replica planning.
 * ``perf-bench``— evaluation-core throughput: the compiled kernel
                   (graph arrays + heap interleaver + one-pass simulator)
-                  vs the legacy object-graph evaluators, with equal
-                  search quality asserted.  Planner commands accept
-                  ``--legacy-eval`` to force the original evaluators.
+                  vs the reference interleaver and retry-loop simulator,
+                  with equal search quality asserted.
 
 Examples::
 
@@ -74,8 +73,7 @@ from repro.sim.costmodel import CostModel
 
 def _setup(combo_name: str, budget: int, seed: int,
            plan_cache: bool = True, cache_size: int = 64,
-           cache_file: Optional[str] = None, strategy: str = "mcts",
-           use_kernel: bool = True):
+           cache_file: Optional[str] = None, strategy: str = "mcts"):
     combo = combination_by_name(combo_name)
     arch = build_combination(combo)
     parallel = ParallelConfig(dp=1, tp=combo.tp, pp=combo.pp)
@@ -87,8 +85,7 @@ def _setup(combo_name: str, budget: int, seed: int,
     cost_model = CostModel()
     searcher = ScheduleSearcher(cluster, parallel, cost_model,
                                 strategy=strategy,
-                                budget_evaluations=budget, seed=seed,
-                                use_kernel=use_kernel)
+                                budget_evaluations=budget, seed=seed)
     shared_cache = None
     if plan_cache and cache_file:
         shared_cache = PlanCache.load(cache_file, capacity=cache_size)
@@ -98,11 +95,6 @@ def _setup(combo_name: str, budget: int, seed: int,
                             enable_plan_cache=plan_cache,
                             cache_size=cache_size)
     return arch, cluster, parallel, planner
-
-
-def _use_kernel(args) -> bool:
-    """Whether the compiled evaluation core is enabled (--legacy-eval)."""
-    return not getattr(args, "legacy_eval", False)
 
 
 def _save_cache(planner: OnlinePlanner, args) -> None:
@@ -135,8 +127,7 @@ def cmd_plan(args) -> int:
     arch, cluster, parallel, planner = _setup(args.model, args.budget,
                                               args.seed, args.plan_cache,
                                               args.cache_size,
-                                              args.cache_file,
-                                              use_kernel=_use_kernel(args))
+                                              args.cache_file)
     print(f"{arch.name}: {arch.parameters_billion():.1f}B on "
           f"{parallel.describe()}  |  plan: {planner.plan.describe()}")
     stream = _workload(arch, args.microbatches, args.seed)
@@ -217,7 +208,7 @@ def _planned_trace(args, strategy: str = "mcts"):
     arch, cluster, parallel, planner = _setup(
         args.model, args.budget, args.seed, args.plan_cache,
         args.cache_size, getattr(args, "cache_file", None),
-        strategy=strategy, use_kernel=_use_kernel(args),
+        strategy=strategy,
     )
     batch = _workload(arch, args.microbatches, args.seed).next_batch()
     result = planner.plan_iteration(batch)
@@ -237,7 +228,6 @@ def _merged_trace(args):
     arch, cluster, parallel, planner = _setup(
         args.model, args.budget, args.seed, args.plan_cache,
         args.cache_size, getattr(args, "cache_file", None),
-        use_kernel=_use_kernel(args),
     )
     stream = _workload(arch, args.microbatches, args.seed)
     ring = TraceRing(capacity=args.ring)
@@ -330,8 +320,7 @@ def cmd_trace_compare(args) -> int:
         # --cache-file would silently turn the "cold" leg into a replay
         # too, so the flag is ignored (and never overwritten) here.
         arch, cluster, parallel, planner = _setup(
-            args.model, args.budget, args.seed, True, args.cache_size,
-            use_kernel=_use_kernel(args))
+            args.model, args.budget, args.seed, True, args.cache_size)
         batch = _workload(arch, args.microbatches, args.seed).next_batch()
 
         def build(tag):
@@ -360,8 +349,7 @@ def cmd_trace_recalibrate(args) -> int:
     from repro.trace import measure_reference_traces, recalibrate_from_traces
 
     arch, cluster, parallel, planner = _setup(args.model, args.budget,
-                                              args.seed, False,
-                                              use_kernel=_use_kernel(args))
+                                              args.seed, False)
     reference = ReferenceCostModel(seed=args.ref_seed)
     stream = _workload(arch, args.microbatches, args.seed)
     traces = measure_reference_traces(
@@ -464,7 +452,6 @@ def _service_with_jobs(args, models, budget=None, fault_plan=None):
         _arch, _cluster, _parallel, planner = _setup(
             model, budget if budget is not None else args.budget, args.seed,
             plan_cache=True, cache_size=args.cache_size,
-            use_kernel=_use_kernel(args),
         )
         service.register_job(model, planner=planner)
     return service
@@ -642,7 +629,6 @@ def cmd_fleet_serve(args) -> int:
         queue=args.queue, cache_size=args.cache_size,
         near_miss=args.near_miss,
         serve_seconds=args.serve_seconds,
-        legacy_eval=not _use_kernel(args),
         restart_crashed=not args.no_restart,
         max_restarts=args.max_restarts,
         trace_dir=args.trace_dir,
@@ -694,7 +680,7 @@ def cmd_fleet_drive(args) -> int:
     def planner_factory(model):
         _arch, _cluster, _parallel, planner = _setup(
             model, args.budget, args.seed, plan_cache=True,
-            cache_size=args.cache_size, use_kernel=_use_kernel(args),
+            cache_size=args.cache_size,
         )
         return planner
 
@@ -1004,7 +990,6 @@ def cmd_chaos_drive(args) -> int:
         runtime_dir=runtime_dir,
         deadline_s=args.deadline,
         cache_size=args.cache_size,
-        use_kernel=_use_kernel(args),
         slack_s=args.slack,
     )
     print(render_report(report))
@@ -1041,14 +1026,13 @@ def cmd_service_bench(args) -> int:
     for model in models:
         _arch, _cluster, _parallel, probe = _setup(
             model, args.budget, args.seed, plan_cache=True,
-            cache_size=args.cache_size, use_kernel=_use_kernel(args))
+            cache_size=args.cache_size)
         streams[model] = _workload(probe.arch, args.microbatches,
                                    args.seed).batches(args.iterations)
         for _replica in range(args.replicas):
             _a, _c, _p, planner = _setup(model, args.budget, args.seed,
                                          plan_cache=True,
-                                         cache_size=args.cache_size,
-                                         use_kernel=_use_kernel(args))
+                                         cache_size=args.cache_size)
             t0 = _time.monotonic()
             for i, batch in enumerate(streams[model]):
                 result = planner.plan_iteration(batch)
@@ -1164,14 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist the plan cache to this JSON file "
                             "(loaded on start, saved on exit) so restarts "
                             "keep their amortization")
-        legacy_eval_arg(p)
-
-    def legacy_eval_arg(p):
-        p.add_argument("--legacy-eval", action="store_true",
-                       help="evaluate schedules through the original "
-                            "object-graph interleaver/simulator instead "
-                            "of the compiled kernel (same plans, slower "
-                            "— the differential-test oracle)")
 
     plan = sub.add_parser("plan", help="plan + simulate training iterations")
     common_args(plan)
@@ -1245,7 +1221,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fit cost-model efficiency factors from reference-system "
              "traces")
     common_args(trecal)
-    legacy_eval_arg(trecal)
     trecal.add_argument("--ref-seed", type=int, default=7,
                         help="hidden-factor seed of the reference "
                              "'hardware' being traced")
@@ -1291,7 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persist the shared plan cache to this JSON "
                             "file (loaded on start, saved atomically on "
                             "exit / 'save-cache')")
-        legacy_eval_arg(p)
 
     serve = sub.add_parser(
         "serve", help="concurrent planning service: DP replicas of one or "
@@ -1399,7 +1373,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="every shard saves its request-span trace "
                              "file here on exit (merge with "
                              "'repro obs merge')")
-    legacy_eval_arg(fserve)
 
     fdrive = fsub.add_parser(
         "drive",
@@ -1473,7 +1446,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "degraded counters) as JSON for 'repro "
                              "obs scrape --check --client-metrics' / "
                              "'repro obs report --client-metrics'")
-    legacy_eval_arg(fdrive)
 
     fbench = fsub.add_parser(
         "bench",
@@ -1619,8 +1591,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="exit nonzero unless at least N degraded "
                               "local plans were served (CI gate)")
-    chdrive.add_argument("--legacy-eval", action="store_true",
-                         help="disable the compiled evaluation core")
 
     sbench = sub.add_parser(
         "service-bench",
@@ -1630,7 +1600,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pbench = sub.add_parser(
         "perf-bench",
-        help="evaluation-core throughput: compiled kernel vs legacy "
+        help="evaluation-core throughput: compiled kernel vs reference "
              "evaluators (rollouts/sec + end-to-end search, equal "
              "quality asserted)")
     pbench.add_argument("model", nargs="?", default="VLM-M",

@@ -7,8 +7,7 @@
 * :mod:`repro.core.interleaver` — dual-queue greedy stage interleaving
   (section 5.2).
 * :mod:`repro.core.evalcore` — the compiled rollout-evaluation core:
-  graph arrays, the heap-based interleaver kernel and the cross-worker
-  rollout memo.
+  graph arrays and the heap-based interleaver kernel.
 * :mod:`repro.core.memopt` — per-layer memory optimization (section 5.3).
 * :mod:`repro.core.searcher` — the three-phase decomposed search loop.
 * :mod:`repro.core.signature` — canonical iteration-graph signatures
@@ -39,7 +38,6 @@ from repro.core.interleaver import interleave_stages
 from repro.core.evalcore import (
     EvalCore,
     GraphArrays,
-    RolloutMemo,
     interleave_kernel,
 )
 from repro.core.signature import GraphSignature, compute_signature
@@ -64,7 +62,6 @@ __all__ = [
     "interleave_stages",
     "EvalCore",
     "GraphArrays",
-    "RolloutMemo",
     "interleave_kernel",
     "GraphSignature",
     "compute_signature",

@@ -2,9 +2,10 @@
 
 Every search strategy — MCTS, DFS, random — scores a candidate group
 ordering by running the greedy interleaver over the iteration graph,
-~120 times per search.  The legacy path re-derives per-stage latency /
-residency / dependency lists from the object graph on *every* rollout
-and rescans every rank's ready queues on every scheduling step
+~120 times per search.  The reference interleaver
+(:func:`~repro.core.interleaver.interleave_stages`) re-derives per-stage
+latency / residency / dependency lists from the object graph on *every*
+rollout and rescans every rank's ready queues on every scheduling step
 (``_pick`` is O(ranks × ready) per stage).  This module compiles the
 graph once per search and replaces the inner loop with heaps:
 
@@ -22,23 +23,16 @@ graph once per search and replaces the inner loop with heaps:
   and "highest-priority ready stage" queries from per-rank heaps keyed
   ``(t_start, -priority, uid)`` / ``(-priority, uid)`` instead of list
   rescans.  Differential property tests assert order-for-order equality
-  with the legacy implementation.
-* :class:`RolloutMemo` — a thread-safe per-search memo keyed on the
-  canonical ordering tuple.  Concurrent MCTS workers (and DFS revisits)
-  frequently evaluate the same permutation; a hit returns the cached
-  makespan without re-running the interleaver.  Hits still count
-  against the evaluation budget, so the search trajectory — and hence
-  the best schedule found at a given budget — is bit-identical to the
-  unmemoised path.
-* :class:`EvalCore` — ties the three together behind the evaluator
+  with the reference implementation.
+* :class:`EvalCore` — ties the two together behind the evaluator
   interface :class:`~repro.core.searcher.ScheduleSearcher` consumes.
+  Every rollout runs the kernel; nothing is cached across rollouts.
 """
 
 from __future__ import annotations
 
-import threading
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
 from repro.core.interleaver import InterleaveResult
@@ -56,8 +50,7 @@ class GraphArrays:
     and residency depend on ``pair.selected``); call :meth:`refresh`
     after the memory optimizer changes them.  Everything else —
     topology, ranks, groups, wire latencies — is immutable, so one
-    compilation serves every rollout of a search and is safe to share
-    across rollout threads.
+    compilation serves every rollout of a search.
     """
 
     __slots__ = (
@@ -130,8 +123,11 @@ class GraphArrays:
         self.resident = [graph.resident_bytes(s) for s in graph.stages]
 
     def priorities(self, ordering: Sequence[GroupKey]) -> List[int]:
-        """Expand a group ordering into the per-stage priority array
-        (mirrors ``ScheduleSearcher._priorities_array``)."""
+        """Expand a group ordering into the per-stage priority array:
+        position ``i`` of ``len(ordering)`` gives priority
+        ``len(ordering) - i``; uncovered groups get 0 (the same rule
+        :meth:`~repro.core.stages.IterationGraph.apply_group_priorities`
+        is fed by the searcher)."""
         by_group = [0] * len(self.group_keys)
         size = len(ordering)
         pos = self.group_pos
@@ -153,7 +149,7 @@ def interleave_kernel(
     """Heap-based greedy interleaving over compiled graph arrays.
 
     Semantics-identical to
-    :func:`repro.core.interleaver.interleave_stages` (the legacy
+    :func:`repro.core.interleaver.interleave_stages` (the reference
     implementation remains the differential oracle): the same dual-queue
     policy, 1F1B alternation, per-stage and queue-level memory gating,
     forced-progress fallback and ``greedy_fill`` ablation, with the same
@@ -163,7 +159,7 @@ def interleave_kernel(
     Data layout, per rank (lazy deletion everywhere via ``in_ready``):
 
     * ``all_t`` — every ready stage keyed ``(t_start, pk)``, where
-      ``pk = uid - priority * n`` packs the legacy
+      ``pk = uid - priority * n`` packs the reference
       ``max(priority, -uid)`` tie-break into one integer.  One peek
       answers phase 1 ("earliest schedulable stage") whenever the
       memory gate is open, and the bubble-filling pick reads the same
@@ -419,7 +415,7 @@ def interleave_kernel(
         # Phase 1: the rank whose earliest schedulable stage is soonest.
         # Summaries are cached; only ranks on the dirty stack are
         # recomputed, and the argmin scan runs at C speed (ties resolve
-        # to the lowest rank, as in the legacy scan).
+        # to the lowest rank, as in the reference scan).
         while dirty_ranks:
             r = dirty_ranks.pop()
             if not dirty[r]:
@@ -446,7 +442,7 @@ def interleave_kernel(
             uid = pick_on(rank_tmin.index(best_t), respect_memory)
         else:
             # Every rank is memory-blocked; force the globally earliest
-            # stage to guarantee progress (mirrors the legacy fallback).
+            # stage to guarantee progress (mirrors the reference fallback).
             uid = pick_forced()
             memory_forced = True
             if uid is None:
@@ -560,51 +556,8 @@ def interleave_kernel(
     )
 
 
-class RolloutMemo:
-    """Thread-safe ordering → makespan memo shared by rollout workers.
-
-    The evaluator is a pure function of the ordering (the graph arrays
-    are frozen for the duration of a search), so a repeated permutation
-    — MCTS workers rolling the same completion, DFS re-entering a
-    subtree, the seed ordering re-sampled — can return its cached score.
-    Hits are counted for telemetry; both hits and misses still consume
-    search budget, keeping trajectories identical to the unmemoised
-    path.
-    """
-
-    def __init__(self) -> None:
-        self._scores: Dict[Tuple[GroupKey, ...], float] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._scores)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def get(self, key: Tuple[GroupKey, ...]) -> Optional[float]:
-        with self._lock:
-            value = self._scores.get(key)
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return value
-
-    def put(self, key: Tuple[GroupKey, ...], value: float) -> None:
-        with self._lock:
-            self._scores[key] = value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._scores.clear()
-
-
 class EvalCore:
-    """Compiled evaluator for one graph: arrays + kernel + rollout memo.
+    """Compiled evaluator for one graph: arrays + kernel.
 
     Built by :class:`~repro.core.searcher.ScheduleSearcher` once per
     search, after the memory-strategy selection is fixed.  ``evaluate``
@@ -620,25 +573,19 @@ class EvalCore:
         cost_model: Optional[CostModel] = None,
         respect_memory: bool = True,
         greedy_fill: bool = True,
-        memoize: bool = True,
     ) -> None:
         self.arrays = GraphArrays(
             graph, cluster, parallel, cost_model or CostModel()
         )
         self.respect_memory = respect_memory
         self.greedy_fill = greedy_fill
-        self.memo: Optional[RolloutMemo] = RolloutMemo() if memoize else None
 
     @property
     def p2p(self) -> P2PTable:
         return self.arrays.p2p
 
-    @property
-    def memo_hits(self) -> int:
-        return self.memo.hits if self.memo is not None else 0
-
     def interleave(self, ordering: Sequence[GroupKey]) -> InterleaveResult:
-        """Full interleaved timeline under ``ordering`` (no memo)."""
+        """Full interleaved timeline under ``ordering``."""
         return interleave_kernel(
             self.arrays,
             self.arrays.priorities(ordering),
@@ -650,20 +597,8 @@ class EvalCore:
         """Rollout score: interleaved makespan in milliseconds.
 
         Runs the kernel in score-only mode (no per-rank order or
-        start-time bookkeeping — the search consumes just the makespan)
-        and memoises by ordering when the memo is enabled.
+        start-time bookkeeping — the search consumes just the makespan).
         """
-        if self.memo is None:
-            return self._score(ordering)
-        key = tuple(ordering)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        total = self._score(ordering)
-        self.memo.put(key, total)
-        return total
-
-    def _score(self, ordering: Sequence[GroupKey]) -> float:
         return interleave_kernel(
             self.arrays,
             self.arrays.priorities(ordering),
@@ -671,10 +606,3 @@ class EvalCore:
             greedy_fill=self.greedy_fill,
             score_only=True,
         ).total_ms
-
-    def refresh(self) -> None:
-        """Re-read stage costs after strategy selections changed; any
-        memoised scores are stale and dropped."""
-        self.arrays.refresh()
-        if self.memo is not None:
-            self.memo.clear()

@@ -66,7 +66,7 @@ def interleave_stages(
     Higher priority wins ties among simultaneously-ready stages.  When
     ``priorities`` (indexed by stage uid) is omitted, each stage's own
     ``priority`` attribute is used — passing an explicit array keeps the
-    graph immutable, which makes concurrent rollouts safe (section 6.2).
+    graph immutable, so rollouts never disturb each other.
 
     ``greedy_fill=False`` disables the bubble-filling rule: when nothing
     is ready before the rank idles, the stage that comes next in program

@@ -17,7 +17,6 @@ DFS and purely random exploration are provided as the Fig. 11 baselines.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -76,20 +75,18 @@ class _SearchState:
         self.evaluations = 0
         self.trace: List[Tuple[float, int, float]] = []
         self.t0 = time.monotonic()
-        self.lock = threading.Lock()
 
     def evaluate(self, ordering: Sequence[GroupKey]) -> float:
         """Evaluate an ordering; returns a maximisation score."""
         ms = self.evaluator(ordering)
-        with self.lock:
-            self.evaluations += 1
-            effective = ms * (1.0 if self.sign > 0 else -1.0)
-            if effective < self.best_ms:
-                self.best_ms = effective
-                self.best_ordering = list(ordering)
-                self.trace.append(
-                    (time.monotonic() - self.t0, self.evaluations, ms)
-                )
+        self.evaluations += 1
+        effective = ms * (1.0 if self.sign > 0 else -1.0)
+        if effective < self.best_ms:
+            self.best_ms = effective
+            self.best_ordering = list(ordering)
+            self.trace.append(
+                (time.monotonic() - self.t0, self.evaluations, ms)
+            )
         return -ms * self.sign  # maximise: lower time is better when sign=+1
 
     def result(self) -> ReorderResult:
@@ -164,7 +161,6 @@ def mcts_reorder(
     beta: float = 0.35,
     seed: int = 0,
     invert: bool = False,
-    num_workers: int = 1,
     seed_ordering: Optional[Sequence[GroupKey]] = None,
 ) -> ReorderResult:
     """Search group orderings with MCTS (the DIP default).
@@ -181,8 +177,6 @@ def mcts_reorder(
         seed: RNG seed.
         invert: Maximise iteration time instead (the Fig. 9 worst-case
             schedule derivation).
-        num_workers: Worker threads sharing the tree (section 6.2); each
-            performs full rollouts between lock-protected tree updates.
         seed_ordering: Optional warm-start permutation of ``groups``
             (e.g. the winning ordering of a similar cached graph).  It is
             evaluated first — seeding the incumbent — and its path is
@@ -195,7 +189,6 @@ def mcts_reorder(
     if not items:
         raise ValueError("no groups to order")
     root = _Node(items)
-    tree_lock = threading.Lock()
     # Score normalisation bounds, updated as results arrive.
     seen_scores: List[float] = []
 
@@ -235,72 +228,53 @@ def mcts_reorder(
             return True
         return False
 
-    def worker(worker_seed: int) -> None:
-        rng = np.random.default_rng(worker_seed)
-        while not out_of_budget():
-            # 1. Selection + 2. Expansion (tree under lock).
-            with tree_lock:
-                node = root
-                prefix: List[GroupKey] = []
-                remaining = list(items)
-                while not node.untried and node.children:
-                    best_child = None
-                    best_ucb = -math.inf
-                    log_nx = math.log(max(node.visits, 1))
-                    for key, child in node.children.items():
-                        exploit = normalised(child.best_score) ** alpha
-                        explore = beta * math.sqrt(log_nx / max(child.visits, 1))
-                        ucb = exploit + explore
-                        if ucb > best_ucb:
-                            best_ucb = ucb
-                            best_child = (key, child)
-                    key, node = best_child
-                    prefix.append(key)
-                    remaining.remove(key)
-                path = [root]
-                cursor = root
-                for key in prefix:
-                    cursor = cursor.children[key]
-                    path.append(cursor)
-                if node.untried:
-                    pick = node.untried.pop(int(rng.integers(len(node.untried))))
-                    child = _Node([g for g in remaining if g != pick])
-                    node.children[pick] = child
-                    prefix.append(pick)
-                    remaining.remove(pick)
-                    path.append(child)
-                    node = child
+    rng = np.random.default_rng(seed)
+    while not out_of_budget():
+        # 1. Selection + 2. Expansion.
+        node = root
+        prefix: List[GroupKey] = []
+        remaining = list(items)
+        path = [root]
+        while not node.untried and node.children:
+            best_child = None
+            best_ucb = -math.inf
+            log_nx = math.log(max(node.visits, 1))
+            for key, child in node.children.items():
+                exploit = normalised(child.best_score) ** alpha
+                explore = beta * math.sqrt(log_nx / max(child.visits, 1))
+                ucb = exploit + explore
+                if ucb > best_ucb:
+                    best_ucb = ucb
+                    best_child = (key, child)
+            key, node = best_child
+            prefix.append(key)
+            remaining.remove(key)
+            path.append(node)
+        if node.untried:
+            pick = node.untried.pop(int(rng.integers(len(node.untried))))
+            child = _Node([g for g in remaining if g != pick])
+            node.children[pick] = child
+            prefix.append(pick)
+            remaining.remove(pick)
+            path.append(child)
 
-            # 3. Rollouts (outside the lock).
-            best_rollout = -math.inf
-            for _ in range(rollouts_per_expansion):
-                if out_of_budget():
-                    break
-                tail = list(remaining)
-                rng.shuffle(tail)
-                score = state.evaluate(prefix + tail)
-                best_rollout = max(best_rollout, score)
-            if best_rollout == -math.inf:
+        # 3. Rollouts.
+        best_rollout = -math.inf
+        for _ in range(rollouts_per_expansion):
+            if out_of_budget():
                 break
+            tail = list(remaining)
+            rng.shuffle(tail)
+            score = state.evaluate(prefix + tail)
+            best_rollout = max(best_rollout, score)
+        if best_rollout == -math.inf:
+            break
 
-            # 4. Backpropagation (under lock).
-            with tree_lock:
-                seen_scores.append(best_rollout)
-                for visited in path:
-                    visited.visits += 1
-                    visited.best_score = max(visited.best_score, best_rollout)
-
-    if num_workers <= 1:
-        worker(seed)
-    else:
-        threads = [
-            threading.Thread(target=worker, args=(seed + i,), daemon=True)
-            for i in range(num_workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # 4. Backpropagation.
+        seen_scores.append(best_rollout)
+        for visited in path:
+            visited.visits += 1
+            visited.best_score = max(visited.best_score, best_rollout)
     return state.result()
 
 

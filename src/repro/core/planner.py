@@ -106,9 +106,6 @@ class PlannerReport:
             ordering.
         signature: Canonical graph-signature digest of the batch (None
             when the plan cache is disabled).
-        memo_hits: Rollout evaluations this iteration's search answered
-            from the kernel's ordering memo (0 on the legacy-eval path
-            and on cache replays).
         cache_tier: Tier that served a cache hit ("memory" / "disk");
             ``None`` unless ``cache_hit``.  The tier-parity invariant:
             the label is the *only* thing allowed to differ between a
@@ -130,7 +127,6 @@ class PlannerReport:
     cache_hit: bool = False
     warm_start: bool = False
     signature: Optional[str] = None
-    memo_hits: int = 0
     cache_tier: Optional[str] = None
     degraded: bool = False
 
@@ -419,6 +415,5 @@ class OnlinePlanner:
             cache_hit=result.cache_hit,
             warm_start=result.warm_started,
             signature=result.signature,
-            memo_hits=result.memo_hits,
             cache_tier=result.cache_tier,
         )

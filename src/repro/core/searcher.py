@@ -16,11 +16,10 @@ deterministic, used by tests) and/or wall-clock seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
 from repro.core.evalcore import EvalCore
-from repro.core.interleaver import InterleaveResult, interleave_stages
 from repro.core.mcts import (
     ReorderResult,
     align_seed_ordering,
@@ -59,9 +58,9 @@ class SearchResult:
             ordering.
         signature: Canonical graph-signature digest, when the planner
             computed one.
-        memo_hits: Rollout evaluations answered by the per-search
-            ordering memo instead of re-running the interleaver (0 on
-            the legacy evaluator path and on cache replays).
+        memo_hits: Rollouts answered without running the interleaver
+            (0 until exact rollout reuse lands; kept for the servebench
+            ``ordering.memo_hit_share`` metric).
         cache_tier: Which cache tier served a hit ("memory" / "disk");
             ``None`` unless ``cache_hit`` — set by the planner, which is
             the layer that knows where the cached plan came from.
@@ -108,7 +107,6 @@ class ScheduleSearcher:
             configuration keeps natural order *and* skips memopt).
         budget_evaluations: Ordering evaluations per search.
         time_budget_s: Optional wall-clock cap.
-        num_workers: Parallel rollout threads (section 6.2).
         enable_memopt: Run the section 5.3 pass on the final schedule.
             When disabled, ``memopt_mode`` picks the fallback policy.
         memopt_mode: ``"full"`` (candidates + per-rank ILP), ``"uniform"``
@@ -120,14 +118,12 @@ class ScheduleSearcher:
         rel_gap: Memopt optimality gap (paper: 5%).
         invert: Search for the *worst* schedule (Fig. 9's upper curves).
         seed: Seed for all stochastic components.
-        use_kernel: Evaluate rollouts through the compiled kernel path
-            (:mod:`repro.core.evalcore`): graph arrays built once per
-            search, heap-based interleaving, one-pass simulation and a
-            cross-worker rollout memo.  ``False`` (``--legacy-eval``)
-            keeps the original object-graph evaluators, which the
-            differential tests use as the oracle.  Both paths produce
-            identical schedules; the flag is therefore excluded from
-            :meth:`fingerprint`.
+
+    Rollouts are scored through the compiled evaluation core
+    (:class:`~repro.core.evalcore.EvalCore`): graph arrays built once
+    per search, heap-based interleaving and one-pass simulation, in one
+    single-threaded search loop.  Parallelism lives across searches
+    (service workers, fleet shard processes), not inside one.
     """
 
     def __init__(
@@ -138,14 +134,12 @@ class ScheduleSearcher:
         strategy: str = "mcts",
         budget_evaluations: int = 120,
         time_budget_s: Optional[float] = None,
-        num_workers: int = 1,
         enable_memopt: bool = True,
         memopt_mode: Optional[str] = None,
         memopt_exact: bool = True,
         rel_gap: float = 0.05,
         invert: bool = False,
         seed: int = 0,
-        use_kernel: bool = True,
     ) -> None:
         if strategy not in ("mcts", "dfs", "random", "natural"):
             raise ValueError(f"unknown search strategy {strategy!r}")
@@ -159,46 +153,14 @@ class ScheduleSearcher:
         self.strategy = strategy
         self.budget_evaluations = budget_evaluations
         self.time_budget_s = time_budget_s
-        self.num_workers = num_workers
         self.enable_memopt = enable_memopt and memopt_mode == "full"
         self.memopt_mode = memopt_mode
         self.memopt_exact = memopt_exact
         self.rel_gap = rel_gap
         self.invert = invert
         self.seed = seed
-        self.use_kernel = use_kernel
 
     # -- evaluation ----------------------------------------------------------
-
-    def _priorities_array(
-        self, graph: IterationGraph, ordering: Sequence[GroupKey]
-    ) -> List[int]:
-        n = len(ordering)
-        by_group: Dict[GroupKey, int] = {g: n - i for i, g in enumerate(ordering)}
-        return [by_group.get(s.key.group, 0) for s in graph.stages]
-
-    def _interleave(
-        self, graph: IterationGraph, ordering: Sequence[GroupKey]
-    ) -> InterleaveResult:
-        return interleave_stages(
-            graph,
-            self.cluster,
-            self.parallel,
-            self.cost_model,
-            priorities=self._priorities_array(graph, ordering),
-        )
-
-    def evaluate_ordering(
-        self, graph: IterationGraph, ordering: Sequence[GroupKey]
-    ) -> float:
-        """Rollout score: interleaved makespan in milliseconds.
-
-        This is the legacy (object-graph) evaluator — the differential
-        oracle.  :meth:`search` compiles an :class:`EvalCore` once per
-        search and scores rollouts through its kernel instead when
-        ``use_kernel`` is set; both produce identical scores.
-        """
-        return self._interleave(graph, ordering).total_ms
 
     def _make_core(self, graph: IterationGraph) -> EvalCore:
         """Compile the kernel evaluator for one search over ``graph``.
@@ -220,10 +182,10 @@ class ScheduleSearcher:
 
         Covers every setting that changes what a valid, comparable
         schedule *means* (strategy, objective direction, memory-policy
-        semantics).  Effort knobs — evaluation/time budget, seed, worker
-        count — are deliberately excluded: they tune how hard one search
-        tries, and replaying a plan found with more effort is strictly
-        better than re-searching with less.  Disable the plan cache when
+        semantics).  Effort knobs — evaluation/time budget and seed —
+        are deliberately excluded: they tune how hard one search tries,
+        and replaying a plan found with more effort is strictly better
+        than re-searching with less.  Disable the plan cache when
         bitwise-identical cold-search runs are required.
         """
         return (
@@ -273,7 +235,7 @@ class ScheduleSearcher:
         budget = (self.budget_evaluations if budget_evaluations is None
                   else budget_evaluations)
         self._prepare_memory(graph)
-        core = self._make_core(graph) if self.use_kernel else None
+        core = self._make_core(graph)
 
         groups = list(graph.groups().keys())
         seed_aligned = align_seed_ordering(seed_ordering, groups)
@@ -282,48 +244,23 @@ class ScheduleSearcher:
         if self.strategy == "natural" or len(groups) <= 1:
             ordering = natural_ordering(groups)
         else:
-            if core is not None:
-                evaluator = core.evaluate
-            else:
-                evaluator = lambda seq: self.evaluate_ordering(graph, seq)  # noqa: E731
-            if self.strategy == "mcts":
-                reorder = mcts_reorder(
-                    groups,
-                    evaluator,
-                    budget_evaluations=budget,
-                    time_budget_s=self.time_budget_s,
-                    seed=self.seed,
-                    invert=self.invert,
-                    num_workers=self.num_workers,
-                    seed_ordering=seed_aligned,
-                )
-            elif self.strategy == "dfs":
-                reorder = dfs_reorder(
-                    groups,
-                    evaluator,
-                    budget_evaluations=budget,
-                    time_budget_s=self.time_budget_s,
-                    seed=self.seed,
-                    invert=self.invert,
-                    seed_ordering=seed_aligned,
-                )
-            else:
-                reorder = random_reorder(
-                    groups,
-                    evaluator,
-                    budget_evaluations=budget,
-                    time_budget_s=self.time_budget_s,
-                    seed=self.seed,
-                    invert=self.invert,
-                    seed_ordering=seed_aligned,
-                )
+            # Resolved per call, so wrappers installed on this module's
+            # names (servebench's layer attribution) see every search.
+            reorder_fn = {"mcts": mcts_reorder, "dfs": dfs_reorder,
+                          "random": random_reorder}[self.strategy]
+            reorder = reorder_fn(
+                groups,
+                core.evaluate,
+                budget_evaluations=budget,
+                time_budget_s=self.time_budget_s,
+                seed=self.seed,
+                invert=self.invert,
+                seed_ordering=seed_aligned,
+            )
             ordering = reorder.ordering
             warm_started = seed_aligned is not None
 
-        if core is not None:
-            interleaved = core.interleave(ordering)
-        else:
-            interleaved = self._interleave(graph, ordering)
+        interleaved = core.interleave(ordering)
         graph.apply_group_priorities(
             {g: len(ordering) - i for i, g in enumerate(ordering)}
         )
@@ -341,8 +278,7 @@ class ScheduleSearcher:
         predicted = simulate_pipeline(
             graph, interleaved.order, self.cluster, self.parallel,
             self.cost_model,
-            p2p=core.p2p if core is not None else None,
-            legacy=core is None,
+            p2p=core.p2p,
         )
         schedule = PipelineSchedule(
             graph=graph,
@@ -361,7 +297,6 @@ class ScheduleSearcher:
             evaluations=reorder.evaluations if reorder else 0,
             ordering=list(ordering),
             warm_started=warm_started,
-            memo_hits=core.memo_hits if core is not None else 0,
         )
 
     # -- cache replay --------------------------------------------------------
@@ -399,7 +334,6 @@ class ScheduleSearcher:
         order = decode_order(cached, signature)
         predicted = simulate_pipeline(
             graph, order, self.cluster, self.parallel, self.cost_model,
-            legacy=not self.use_kernel,
         )
         schedule = PipelineSchedule(
             graph=graph,

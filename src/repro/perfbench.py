@@ -1,18 +1,22 @@
-"""Evaluation-core performance benchmark (kernel vs legacy evaluators).
+"""Evaluation-core performance benchmark (kernel vs reference evaluators).
 
 The measurement behind ``repro perf-bench`` and
 ``benchmarks/test_eval_core.py``: on a Fig. 11-style workload it times
 
 * **rollouts/sec** — the searcher's inner loop: scoring random group
-  orderings through the legacy object-graph evaluator
-  (:meth:`~repro.core.searcher.ScheduleSearcher.evaluate_ordering`)
-  versus the compiled kernel (:class:`~repro.core.evalcore.EvalCore`,
-  memo disabled so the number is raw interleaver throughput), asserting
+  orderings through the reference object-graph interleaver
+  (:func:`~repro.core.interleaver.interleave_stages`) versus the
+  compiled kernel (:class:`~repro.core.evalcore.EvalCore`), asserting
   score-for-score equality;
-* **end-to-end search wall-clock** — two identically seeded MCTS
-  searches, kernel vs ``--legacy-eval``, asserting the same best
-  makespan at the same budget (the kernel must buy speed, never
-  quality).
+* **end-to-end search wall-clock** — the production
+  :class:`~repro.core.searcher.ScheduleSearcher` versus the same
+  seeded :func:`~repro.core.mcts.mcts_reorder` run over the reference
+  interleaver and the retry-loop simulator, asserting the same winning
+  ordering, per-rank order and best makespan at the same budget (the
+  kernel must buy speed, never quality).
+
+Report keys keep their historical ``legacy_*`` names for the reference
+leg.
 
 Both paths are timed back-to-back in alternating repeats and the best
 (minimum) time of each is reported — the estimator least sensitive to
@@ -22,25 +26,43 @@ background load, which would otherwise bias whichever side it landed on.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.topology import ParallelConfig, cluster_h100, cluster_h800
 from repro.core.evalcore import EvalCore
 from repro.core.graphbuilder import build_iteration_graph
+from repro.core.interleaver import InterleaveResult, interleave_stages
+from repro.core.mcts import mcts_reorder
 from repro.core.memopt import generate_candidates
 from repro.core.partitioner import ModalityPartitioner
 from repro.core.planner import reference_microbatch
 from repro.core.searcher import ScheduleSearcher
+from repro.core.stages import GroupKey
 from repro.data.workload import t2v_workload, vlm_workload
 from repro.models.lmm import build_combination
 from repro.models.zoo import combination_by_name
 from repro.sim.costmodel import CostModel
+from repro.sim.pipeline import simulate_pipeline
 
 
 class EvalCoreMismatchError(RuntimeError):
-    """The kernel and legacy evaluators disagreed — never acceptable."""
+    """The kernel and reference evaluators disagreed — never acceptable."""
+
+
+def _reference_interleave(graph, cluster, parallel, cost_model,
+                          ordering: Sequence[GroupKey]) -> InterleaveResult:
+    """Interleave ``graph`` under ``ordering`` through the reference
+    (object-graph) interleaver: group position ``i`` of ``n`` gives
+    priority ``n - i``, uncovered groups 0 — the searcher's rule,
+    expanded here without the kernel's graph arrays."""
+    n = len(ordering)
+    by_group = {g: n - i for i, g in enumerate(ordering)}
+    return interleave_stages(
+        graph, cluster, parallel, cost_model,
+        priorities=[by_group.get(s.key.group, 0) for s in graph.stages],
+    )
 
 
 def _build_setup(model: str):
@@ -67,13 +89,14 @@ def run_eval_core_bench(
     seed: int = 0,
     search_seed: Optional[int] = None,
 ) -> Dict:
-    """Measure kernel-vs-legacy evaluator throughput and search time.
+    """Measure kernel-vs-reference evaluator throughput and search time.
 
     Returns a JSON-serialisable report; raises
     :class:`EvalCoreMismatchError` if the two paths disagree on any
-    rollout score, the final best makespan, or the winning per-rank
-    order — speed must never change the answer.  (An explicit exception,
-    not ``assert``, so the gate survives ``python -O``.)
+    rollout score, the final best makespan, the winning ordering or the
+    winning per-rank order — speed must never change the answer.  (An
+    explicit exception, not ``assert``, so the gate survives
+    ``python -O``.)
     """
     arch, cluster, parallel, cost_model, partitioner, plan = _build_setup(model)
     if arch.kind == "t2v":
@@ -92,10 +115,7 @@ def run_eval_core_bench(
     graph = build_graph()
     generate_candidates(graph)
     graph.select_most_memory_efficient()
-    searcher = ScheduleSearcher(cluster, parallel, cost_model,
-                                budget_evaluations=budget, seed=seed,
-                                enable_memopt=False)
-    core = EvalCore(graph, cluster, parallel, cost_model, memoize=False)
+    core = EvalCore(graph, cluster, parallel, cost_model)
     groups = list(graph.groups().keys())
     rng = np.random.default_rng(seed)
     orderings: List[list] = []
@@ -110,15 +130,18 @@ def run_eval_core_bench(
     kernel_scores: List[float] = []
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
-        legacy_scores = [searcher.evaluate_ordering(graph, o)
-                         for o in orderings]
+        legacy_scores = [
+            _reference_interleave(graph, cluster, parallel, cost_model,
+                                  o).total_ms
+            for o in orderings
+        ]
         legacy_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         kernel_scores = [core.evaluate(o) for o in orderings]
         kernel_times.append(time.perf_counter() - t0)
     if kernel_scores != legacy_scores:
         raise EvalCoreMismatchError(
-            "kernel and legacy evaluators disagree on rollout scores")
+            "kernel and reference evaluators disagree on rollout scores")
     legacy_s = min(legacy_times)
     kernel_s = min(kernel_times)
 
@@ -127,20 +150,36 @@ def run_eval_core_bench(
     kernel_searcher = ScheduleSearcher(
         cluster, parallel, cost_model, budget_evaluations=budget,
         seed=sseed, enable_memopt=False)
-    legacy_searcher = ScheduleSearcher(
-        cluster, parallel, cost_model, budget_evaluations=budget,
-        seed=sseed, enable_memopt=False, use_kernel=False)
     g_kernel, g_legacy = build_graph(), build_graph()
     t0 = time.perf_counter()
     kernel_result = kernel_searcher.search(g_kernel)
     search_kernel_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    legacy_result = legacy_searcher.search(g_legacy)
+    # The reference leg: the searcher's memory preparation, then the
+    # same seeded MCTS over the reference interleaver, and the retry-loop
+    # simulator (identity jitter) for the final timeline.
+    kernel_searcher._prepare_memory(g_legacy)
+    legacy_reorder = mcts_reorder(
+        list(g_legacy.groups().keys()),
+        lambda o: _reference_interleave(g_legacy, cluster, parallel,
+                                        cost_model, o).total_ms,
+        budget_evaluations=budget, seed=sseed,
+    )
+    legacy_order = _reference_interleave(
+        g_legacy, cluster, parallel, cost_model,
+        legacy_reorder.ordering).order
+    legacy_ms = simulate_pipeline(
+        g_legacy, legacy_order, cluster, parallel, cost_model,
+        jitter=lambda uid, ms: ms,
+    ).total_ms
     search_legacy_s = time.perf_counter() - t0
-    if kernel_result.total_ms != legacy_result.total_ms:
+    if kernel_result.total_ms != legacy_ms:
         raise EvalCoreMismatchError(
             "kernel search found a different best makespan at equal budget")
-    if kernel_result.schedule.order != legacy_result.schedule.order:
+    if kernel_result.ordering != legacy_reorder.ordering:
+        raise EvalCoreMismatchError(
+            "kernel search produced a different winning ordering")
+    if kernel_result.schedule.order != legacy_order:
         raise EvalCoreMismatchError(
             "kernel search produced a different winning order")
 
@@ -166,7 +205,7 @@ def run_eval_core_bench(
             "legacy_s": search_legacy_s,
             "kernel_s": search_kernel_s,
             "speedup": search_legacy_s / max(search_kernel_s, 1e-12),
-            "legacy_best_ms": legacy_result.total_ms,
+            "legacy_best_ms": legacy_ms,
             "kernel_best_ms": kernel_result.total_ms,
             "equal_quality": True,
             "memo_hits": kernel_result.memo_hits,
@@ -182,12 +221,11 @@ def describe_eval_core_bench(report: Dict) -> str:
         f"{report['model']} x{report['microbatches']}mb: "
         f"{report['stages']} stages / {report['groups']} groups on "
         f"{report['ranks']} ranks\n"
-        f"rollouts: legacy {roll['legacy_per_s']:8.1f}/s   kernel "
+        f"rollouts: reference {roll['legacy_per_s']:8.1f}/s   kernel "
         f"{roll['kernel_per_s']:8.1f}/s   speedup {roll['speedup']:.2f}x\n"
-        f"search:   legacy {search['legacy_s']:8.2f}s   kernel "
+        f"search:   reference {search['legacy_s']:8.2f}s   kernel "
         f"{search['kernel_s']:8.2f}s   speedup {search['speedup']:.2f}x "
-        f"({search['evaluations']} evaluations, "
-        f"{search['memo_hits']} memo hits)\n"
+        f"({search['evaluations']} evaluations)\n"
         f"best makespan: kernel {search['kernel_best_ms']:.3f} ms == "
-        f"legacy {search['legacy_best_ms']:.3f} ms"
+        f"reference {search['legacy_best_ms']:.3f} ms"
     )

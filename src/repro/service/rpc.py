@@ -693,7 +693,12 @@ class PlanServiceServer:
                                               repr(exc))
                 self._m_method_latency.observe(
                     time.perf_counter() - handler_started, method=method)
-                if not self._try_send(sock, conn, response):
+                sent = self._try_send(sock, conn, response)
+                # A submit stays registered until its reply is written
+                # (or the write failed): close()'s drain must not see an
+                # empty in-flight set and shut the socket mid-reply.
+                self._unregister(conn.conn_id, request_id)
+                if not sent:
                     send_failed = True
                     return
                 if method == "shutdown":
@@ -733,9 +738,9 @@ class PlanServiceServer:
         with self._reg_lock:
             self._inflight[(request.conn_id, request.request_id)] = request
 
-    def _unregister(self, request: RemoteRequest) -> None:
+    def _unregister(self, conn_id: int, request_id) -> None:
         with self._reg_lock:
-            self._inflight.pop((request.conn_id, request.request_id), None)
+            self._inflight.pop((conn_id, request_id), None)
 
     # -- methods -------------------------------------------------------------
 
@@ -861,7 +866,6 @@ class PlanServiceServer:
                     "cache_hit": result.cache_hit,
                     "cache_tier": result.cache_tier,
                     "warm_started": result.warm_started,
-                    "memo_hits": result.memo_hits,
                     "memopt_gap": result.memopt_gap,
                     "latency_s": ticket.latency_s,
                     "queue_wait_s": ticket.queue_wait_s,
@@ -869,8 +873,9 @@ class PlanServiceServer:
                 },
             }
         finally:
+            # Stays registered: the connection handler unregisters it
+            # once the response has been sent.
             request.finish()
-            self._unregister(request)
 
     def _handle_prewarm(self, params: Dict, conn: ConnectionStats,
                         request_id, trace_ctx=None, deadline_s=None) -> Dict:

@@ -522,8 +522,6 @@ class PlanService:
                 self.stats.count("disk_hits"
                                  if result.cache_tier == "disk"
                                  else "memory_hits")
-            if result.memo_hits:
-                self.stats.count("memo_hits", result.memo_hits)
             # Spans are recorded *before* the ticket completes: delivery
             # unblocks the remote submit handler, and the client must be
             # able to read a fully written trace the moment its RPC

@@ -42,9 +42,6 @@ class ServiceStats:
         memory_hits / disk_hits: exact cache hits broken down by the
             tier that served them (fan-out replays to coalesced waiters
             count under neither — they are accounted as ``coalesced``).
-        memo_hits: rollout evaluations answered by the kernel's
-            per-search ordering memo, summed over every search the
-            service ran (0 on the legacy-eval path).
         prewarms: background warm-search requests accepted.
         recalibrations: cost-model refits applied.
         recal_rollbacks: refits that cleared the fit-window improvement
@@ -65,8 +62,7 @@ class ServiceStats:
     COUNTERS = (
         "submitted", "rejected", "completed", "failed", "shed",
         "coalesced", "searches", "replays", "memory_hits", "disk_hits",
-        "memo_hits", "prewarms", "recalibrations", "recal_rollbacks",
-        "invalidated",
+        "prewarms", "recalibrations", "recal_rollbacks", "invalidated",
     )
 
     def __init__(self) -> None:

@@ -15,7 +15,7 @@ Two pieces live here, both pure functions of immutable inputs:
   independent of visit order, so one Kahn pass over the combined DAG
   computes every ``start``/``end`` exactly once (the retry loop
   re-scans blocked ranks every sweep).  The retry loop remains in
-  :mod:`repro.sim.pipeline` as the jittered/legacy oracle.
+  :mod:`repro.sim.pipeline` as the jitter engine and the oracle.
 """
 
 from __future__ import annotations

@@ -11,9 +11,11 @@ Two execution engines produce the timestamps:
 * the **kernel** path (:func:`repro.sim.kernel.simulate_order_kernel`)
   — a single topological pass over the combined dependency + order DAG,
   used whenever latencies are deterministic (no ``jitter``);
-* the **legacy** round-robin retry loop — kept as the differential-test
-  oracle and as the only engine able to apply a per-stage ``jitter``
-  callback (jittered latencies make timestamps visit-order dependent).
+* the round-robin **retry loop** — the only engine able to apply a
+  per-stage ``jitter`` callback (jittered latencies make timestamps
+  visit-order dependent).  With the identity jitter
+  ``lambda uid, ms: ms`` it is also the kernel's differential-test
+  oracle.
 
 Both charge P2P hops through one shared
 :class:`~repro.sim.kernel.P2PTable`, which trace emission consumes too.
@@ -70,7 +72,6 @@ def simulate_pipeline(
     track_memory: bool = True,
     collector: Optional[TraceCollector] = None,
     p2p: Optional[P2PTable] = None,
-    legacy: bool = False,
 ) -> PipelineSimResult:
     """Simulate a scheduled iteration.
 
@@ -82,7 +83,7 @@ def simulate_pipeline(
         cost_model: Latency model for P2P transfers.
         jitter: Optional per-stage latency perturbation
             ``(uid, base_ms) -> ms`` — used by the reference "hardware"
-            simulator.  Forces the legacy retry-loop engine.
+            simulator.  Selects the retry-loop engine.
         track_memory: Compute memory timelines (small extra cost).
         collector: Optional :class:`~repro.trace.events.TraceCollector`
             the executed timeline (compute + P2P comm spans) is emitted
@@ -90,8 +91,6 @@ def simulate_pipeline(
         p2p: Optional shared :class:`~repro.sim.kernel.P2PTable`
             (e.g. the searcher's, so one search keeps one transfer
             cache); built locally when omitted.
-        legacy: Force the round-robin retry loop even without jitter —
-            the differential-test oracle and ``--legacy-eval`` path.
 
     Raises:
         ScheduleDeadlockError: if the order contradicts the dependencies.
@@ -102,7 +101,7 @@ def simulate_pipeline(
     if p2p is None:
         p2p = P2PTable(cluster, parallel, cost_model)
 
-    if jitter is None and not legacy:
+    if jitter is None:
         start, end, busy = simulate_order_kernel(
             graph, order, p2p, error_cls=ScheduleDeadlockError
         )
@@ -144,7 +143,7 @@ def _simulate_retry_loop(
     p2p: P2PTable,
     jitter: Optional[Callable[[int, float], float]],
 ) -> Tuple[List[float], List[float], List[float]]:
-    """The original round-robin engine (jitter support + kernel oracle)."""
+    """The round-robin engine (jitter support + kernel oracle)."""
     num_stages = len(graph.stages)
     start = [0.0] * num_stages
     end = [0.0] * num_stages

@@ -1,22 +1,28 @@
-"""Differential tests: compiled evaluation core vs the legacy oracle.
+"""Differential tests: compiled evaluation core vs the reference oracle.
 
 The kernel path (:mod:`repro.core.evalcore` + :mod:`repro.sim.kernel`)
-must be *semantics-identical* to the legacy interleaver and simulator —
-same per-rank orders, timestamps, makespans, memory behaviour and
-deadlock detection — on randomized iteration graphs spanning varying
-rank counts, microbatch counts, modality mixes and memory regimes.
+must be *semantics-identical* to the reference interleaver
+(:func:`~repro.core.interleaver.interleave_stages`) and the simulator's
+retry-loop engine (selected with the identity jitter) — same per-rank
+orders, timestamps, makespans, memory behaviour and deadlock detection
+— on randomized iteration graphs spanning varying rank counts,
+microbatch counts, modality mixes and memory regimes.  Every search
+strategy run over both evaluators must follow the same trajectory.
 """
-
-import threading
 
 import numpy as np
 import pytest
 
 from repro.cluster.devices import GPU_H800_80G
 from repro.cluster.topology import ClusterSpec, ParallelConfig
-from repro.core.evalcore import EvalCore, GraphArrays, RolloutMemo, interleave_kernel
+from repro.core.evalcore import EvalCore, GraphArrays, interleave_kernel
 from repro.core.interleaver import interleave_stages
-from repro.core.memopt import generate_candidates
+from repro.core.mcts import dfs_reorder, mcts_reorder, random_reorder
+from repro.core.memopt import (
+    apply_uniform_memory_policy,
+    generate_candidates,
+    optimize_memory,
+)
 from repro.core.searcher import ScheduleSearcher
 from repro.core.stages import (
     Direction,
@@ -31,6 +37,27 @@ from repro.sim.pipeline import ScheduleDeadlockError, simulate_pipeline
 
 CLUSTER = ClusterSpec(gpu=GPU_H800_80G, gpus_per_node=4, num_nodes=2)
 MODULES = ("vit", "llm", "dit")
+STRATEGIES = {"mcts": mcts_reorder, "dfs": dfs_reorder,
+              "random": random_reorder}
+
+
+def identity_jitter(uid, ms):
+    """Selects the simulator's retry-loop engine without changing any
+    latency — the kernel simulator's oracle."""
+    return ms
+
+
+def expand_priorities(graph, ordering):
+    """Group position ``i`` of ``n`` -> priority ``n - i`` for every
+    stage of the group; uncovered groups get 0."""
+    n = len(ordering)
+    by_group = {g: n - i for i, g in enumerate(ordering)}
+    return [by_group.get(s.key.group, 0) for s in graph.stages]
+
+
+def reference_interleave(graph, cluster, parallel, cost_model, ordering):
+    return interleave_stages(graph, cluster, parallel, cost_model,
+                             priorities=expand_priorities(graph, ordering))
 
 
 def random_graph(rng: np.random.Generator) -> IterationGraph:
@@ -112,7 +139,7 @@ def _parallel(graph: IterationGraph) -> ParallelConfig:
 def assert_interleave_equal(graph, ordering_priorities, cost_model,
                             respect_memory=True, greedy_fill=True):
     parallel = _parallel(graph)
-    legacy = interleave_stages(
+    reference = interleave_stages(
         graph, CLUSTER, parallel, cost_model,
         respect_memory=respect_memory, priorities=ordering_priorities,
         greedy_fill=greedy_fill,
@@ -122,31 +149,31 @@ def assert_interleave_equal(graph, ordering_priorities, cost_model,
         arrays, list(ordering_priorities),
         respect_memory=respect_memory, greedy_fill=greedy_fill,
     )
-    assert kernel.order == legacy.order
-    assert kernel.start_ms == legacy.start_ms
-    assert kernel.end_ms == legacy.end_ms
-    assert kernel.total_ms == legacy.total_ms
-    assert kernel.memory_forced == legacy.memory_forced
-    return legacy
+    assert kernel.order == reference.order
+    assert kernel.start_ms == reference.start_ms
+    assert kernel.end_ms == reference.end_ms
+    assert kernel.total_ms == reference.total_ms
+    assert kernel.memory_forced == reference.memory_forced
+    return reference
 
 
 def assert_sim_equal(graph, order, cost_model):
     parallel = _parallel(graph)
-    legacy = simulate_pipeline(graph, order, CLUSTER, parallel, cost_model,
-                               legacy=True)
+    reference = simulate_pipeline(graph, order, CLUSTER, parallel,
+                                  cost_model, jitter=identity_jitter)
     kernel = simulate_pipeline(graph, order, CLUSTER, parallel, cost_model)
-    assert kernel.start_ms == legacy.start_ms
-    assert kernel.end_ms == legacy.end_ms
-    assert kernel.total_ms == legacy.total_ms
-    assert kernel.busy_ms_per_rank == legacy.busy_ms_per_rank
-    assert kernel.bubble_ratio == legacy.bubble_ratio
-    assert kernel.peak_memory_bytes == legacy.peak_memory_bytes
-    assert kernel.memory_timeline == legacy.memory_timeline
-    assert kernel.memory_exceeded == legacy.memory_exceeded
+    assert kernel.start_ms == reference.start_ms
+    assert kernel.end_ms == reference.end_ms
+    assert kernel.total_ms == reference.total_ms
+    assert kernel.busy_ms_per_rank == reference.busy_ms_per_rank
+    assert kernel.bubble_ratio == reference.bubble_ratio
+    assert kernel.peak_memory_bytes == reference.peak_memory_bytes
+    assert kernel.memory_timeline == reference.memory_timeline
+    assert kernel.memory_exceeded == reference.memory_exceeded
 
 
 class TestRandomizedDifferential:
-    """Kernel == legacy on >= 50 randomized graphs (acceptance gate)."""
+    """Kernel == reference on >= 50 randomized graphs (acceptance gate)."""
 
     def test_interleaver_and_simulator_match_legacy(self):
         rng = np.random.default_rng(1234)
@@ -198,7 +225,7 @@ class TestRandomizedDifferential:
 
 
 class TestBuilderGraphDifferential:
-    """Kernel == legacy on real graph-builder output (VLM and T2V)."""
+    """Kernel == reference on real graph-builder output (VLM and T2V)."""
 
     def test_vlm_graph(self, vlm_graph, small_cluster, parallel2, cost_model):
         rng = np.random.default_rng(3)
@@ -207,30 +234,32 @@ class TestBuilderGraphDifferential:
         for _ in range(5):
             ordering = list(groups)
             rng.shuffle(ordering)
-            legacy = interleave_stages(
+            reference = interleave_stages(
                 vlm_graph, small_cluster, parallel2, cost_model,
                 priorities=core.arrays.priorities(ordering),
             )
             kernel = core.interleave(ordering)
-            assert kernel.order == legacy.order
-            assert kernel.total_ms == legacy.total_ms
-            assert core.evaluate(ordering) == legacy.total_ms
+            assert kernel.order == reference.order
+            assert kernel.total_ms == reference.total_ms
+            assert core.evaluate(ordering) == reference.total_ms
 
     def test_t2v_graph(self, t2v_graph, small_cluster, parallel2, cost_model):
         core = EvalCore(t2v_graph, small_cluster, parallel2, cost_model)
         ordering = list(t2v_graph.groups().keys())
-        legacy = interleave_stages(
+        reference = interleave_stages(
             t2v_graph, small_cluster, parallel2, cost_model,
             priorities=core.arrays.priorities(ordering),
         )
         kernel = core.interleave(ordering)
-        assert kernel.order == legacy.order
-        assert kernel.start_ms == legacy.start_ms
+        assert kernel.order == reference.order
+        assert kernel.start_ms == reference.start_ms
 
     def test_full_search_parity(self, vlm_setup, small_cluster, parallel2,
                                 cost_model):
-        """Identical seeds/budget: kernel and legacy searches agree on
-        the winning order, makespan and evaluation count."""
+        """The production searcher agrees with MCTS over the reference
+        interleaver, the memory ILP and the retry-loop simulator on the
+        winning ordering, per-rank order, evaluation count and
+        makespan."""
         from repro.core.graphbuilder import build_iteration_graph
         from repro.data.workload import vlm_workload
 
@@ -244,37 +273,60 @@ class TestBuilderGraphDifferential:
             )
 
         for enable_memopt in (False, True):
-            kernel_searcher = ScheduleSearcher(
+            searcher = ScheduleSearcher(
                 small_cluster, parallel2, cost_model,
                 budget_evaluations=12, seed=7, enable_memopt=enable_memopt)
-            legacy_searcher = ScheduleSearcher(
-                small_cluster, parallel2, cost_model,
-                budget_evaluations=12, seed=7, enable_memopt=enable_memopt,
-                use_kernel=False)
-            kernel_result = kernel_searcher.search(build())
-            legacy_result = legacy_searcher.search(build())
-            assert kernel_result.total_ms == legacy_result.total_ms
-            assert kernel_result.schedule.order == legacy_result.schedule.order
-            assert kernel_result.ordering == legacy_result.ordering
-            assert kernel_result.evaluations == legacy_result.evaluations
-            assert legacy_result.memo_hits == 0
+            result = searcher.search(build())
+
+            graph = build()
+            if enable_memopt:
+                generate_candidates(graph)
+                graph.select_most_memory_efficient()
+            else:
+                apply_uniform_memory_policy(graph)
+            reorder = mcts_reorder(
+                list(graph.groups().keys()),
+                lambda o: reference_interleave(
+                    graph, small_cluster, parallel2, cost_model, o).total_ms,
+                budget_evaluations=12, seed=7)
+            interleaved = reference_interleave(
+                graph, small_cluster, parallel2, cost_model,
+                reorder.ordering)
+            if enable_memopt:
+                optimize_memory(graph, interleaved.start_ms,
+                                interleaved.end_ms)
+            predicted = simulate_pipeline(
+                graph, interleaved.order, small_cluster, parallel2,
+                cost_model, jitter=identity_jitter)
+
+            assert result.ordering == reorder.ordering
+            assert result.evaluations == reorder.evaluations
+            assert result.reorder.best_ms == reorder.best_ms
+            assert result.schedule.order == interleaved.order
+            assert result.interleave_ms == interleaved.total_ms
+            assert result.total_ms == predicted.total_ms
 
     def test_search_parity_across_strategies(self, vlm_graph, small_cluster,
                                              parallel2, cost_model):
-        for strategy in ("dfs", "random", "natural"):
-            kernel_searcher = ScheduleSearcher(
-                small_cluster, parallel2, cost_model, strategy=strategy,
-                budget_evaluations=10, seed=3, enable_memopt=False)
-            legacy_searcher = ScheduleSearcher(
-                small_cluster, parallel2, cost_model, strategy=strategy,
-                budget_evaluations=10, seed=3, enable_memopt=False,
-                use_kernel=False)
-            # Same graph object is fine: searches are read-only apart
-            # from strategy selections, which both paths reset.
-            kernel_result = kernel_searcher.search(vlm_graph)
-            legacy_result = legacy_searcher.search(vlm_graph)
-            assert kernel_result.total_ms == legacy_result.total_ms
-            assert kernel_result.schedule.order == legacy_result.schedule.order
+        """Each strategy follows the same trajectory over the kernel and
+        over the reference interleaver."""
+        generate_candidates(vlm_graph)
+        vlm_graph.select_most_memory_efficient()
+        core = EvalCore(vlm_graph, small_cluster, parallel2, cost_model)
+        groups = list(vlm_graph.groups().keys())
+
+        def reference(ordering):
+            return reference_interleave(vlm_graph, small_cluster, parallel2,
+                                        cost_model, ordering).total_ms
+
+        for name, strategy in STRATEGIES.items():
+            kernel = strategy(groups, core.evaluate, budget_evaluations=10,
+                              seed=3)
+            oracle = strategy(groups, reference, budget_evaluations=10,
+                              seed=3)
+            assert kernel.ordering == oracle.ordering, name
+            assert kernel.best_ms == oracle.best_ms, name
+            assert kernel.evaluations == oracle.evaluations, name
 
 
 class TestSimulatorKernel:
@@ -286,11 +338,11 @@ class TestSimulatorKernel:
         bad_order = [[3, 0], [1, 2]]  # rank 0 runs bw before its fw
         with pytest.raises(ScheduleDeadlockError) as kernel_err:
             simulate_pipeline(graph, bad_order, CLUSTER, parallel)
-        with pytest.raises(ScheduleDeadlockError) as legacy_err:
+        with pytest.raises(ScheduleDeadlockError) as reference_err:
             simulate_pipeline(graph, bad_order, CLUSTER, parallel,
-                              legacy=True)
+                              jitter=identity_jitter)
         assert "waiting stages" in str(kernel_err.value)
-        assert "waiting stages" in str(legacy_err.value)
+        assert "waiting stages" in str(reference_err.value)
 
     def test_jitter_forces_retry_engine(self):
         from tests.test_pipeline_sim import two_rank_graph
@@ -331,89 +383,19 @@ class TestGraphArrays:
 
     def test_priorities_match_searcher(self, vlm_graph, small_cluster,
                                        parallel2, cost_model):
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model)
+        """The kernel's ordering expansion follows the searcher's rule
+        (position ``i`` of ``n`` -> priority ``n - i``)."""
         arrays = GraphArrays(vlm_graph, small_cluster, parallel2, cost_model)
         groups = list(vlm_graph.groups().keys())
         rng = np.random.default_rng(0)
         ordering = list(groups)
         rng.shuffle(ordering)
-        assert arrays.priorities(ordering) == searcher._priorities_array(
+        assert arrays.priorities(ordering) == expand_priorities(
             vlm_graph, ordering)
         # Partial orderings leave uncovered groups at priority 0.
         partial = ordering[: len(ordering) // 2]
-        assert arrays.priorities(partial) == searcher._priorities_array(
+        assert arrays.priorities(partial) == expand_priorities(
             vlm_graph, partial)
-
-
-class TestRolloutMemo:
-    def test_memo_hits_reported(self, vlm_graph, small_cluster, parallel2,
-                                cost_model):
-        core = EvalCore(vlm_graph, small_cluster, parallel2, cost_model)
-        ordering = list(vlm_graph.groups().keys())
-        first = core.evaluate(ordering)
-        second = core.evaluate(ordering)
-        assert first == second
-        assert core.memo.hits == 1
-        assert core.memo.misses == 1
-        assert len(core.memo) == 1
-        core.refresh()  # stale scores dropped
-        assert len(core.memo) == 0
-
-    def test_memo_thread_safety(self, vlm_graph, small_cluster, parallel2,
-                                cost_model):
-        """Concurrent workers share one memo: every lookup is counted,
-        every returned score matches the single-threaded value."""
-        core = EvalCore(vlm_graph, small_cluster, parallel2, cost_model)
-        groups = list(vlm_graph.groups().keys())
-        rng = np.random.default_rng(11)
-        orderings = []
-        for _ in range(10):
-            ordering = list(groups)
-            rng.shuffle(ordering)
-            orderings.append(ordering)
-        expected = {tuple(o): interleave_stages(
-            vlm_graph, small_cluster, parallel2, cost_model,
-            priorities=core.arrays.priorities(o)).total_ms
-            for o in orderings}
-
-        per_thread = 60
-        num_threads = 8
-        errors = []
-
-        def worker(seed: int) -> None:
-            local = np.random.default_rng(seed)
-            try:
-                for _ in range(per_thread):
-                    ordering = orderings[int(local.integers(len(orderings)))]
-                    score = core.evaluate(ordering)
-                    if score != expected[tuple(ordering)]:
-                        errors.append((ordering, score))
-            except Exception as exc:  # noqa: BLE001 — surface in assert
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(num_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        memo = core.memo
-        assert memo.lookups == per_thread * num_threads
-        assert memo.hits + memo.misses == memo.lookups
-        # Racing threads may compute a key twice, but the table holds
-        # exactly one entry per distinct ordering.
-        assert len(memo) == len(orderings)
-        assert memo.hits >= memo.lookups - 2 * len(orderings)
-
-    def test_bare_memo(self):
-        memo = RolloutMemo()
-        assert memo.get(("a",)) is None
-        memo.put(("a",), 1.5)
-        assert memo.get(("a",)) == 1.5
-        assert (memo.hits, memo.misses) == (1, 1)
-        memo.clear()
-        assert len(memo) == 0
 
 
 class TestEmptyAndEdgeGraphs:

@@ -1,8 +1,8 @@
 """Extended coverage: cross-cutting behaviours and edge cases.
 
-Targets interactions the per-module suites don't reach: parallel MCTS
-through the searcher, deeper pipelines, resolution-bucket packing
-invariants, T2V deployment, and solver agreement on random graphs.
+Targets interactions the per-module suites don't reach: deeper
+pipelines, resolution-bucket packing invariants, T2V deployment, and
+solver agreement on random graphs.
 """
 
 import pytest
@@ -68,35 +68,6 @@ class TestDeeperPipelines:
         many_result = searcher.search(many)
         bubble_many = many_result.schedule.predicted.bubble_ratio
         assert bubble_many < bubble_few
-
-
-class TestParallelSearch:
-    def test_multithreaded_searcher_valid(self, vlm_graph, small_cluster,
-                                          parallel2, cost_model):
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                    budget_evaluations=24, num_workers=4,
-                                    seed=0)
-        result = searcher.search(vlm_graph)
-        assert validate_schedule(vlm_graph, result.schedule.order) == []
-        assert result.evaluations >= 24
-
-    def test_multithreaded_quality_not_worse(self, vlm_setup, small_cluster,
-                                             parallel2, cost_model):
-        from repro.data.workload import vlm_workload as wl
-
-        arch, plan, partitioner = vlm_setup
-
-        def best(workers):
-            batch = wl(3, seed=3).next_batch()
-            graph = build_iteration_graph(arch, plan, batch, small_cluster,
-                                          parallel2, cost_model,
-                                          partitioner=partitioner)
-            searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                        budget_evaluations=30,
-                                        num_workers=workers, seed=0)
-            return searcher.search(graph).total_ms
-
-        assert best(4) <= best(1) * 1.10
 
 
 class TestVideoPackingBuckets:

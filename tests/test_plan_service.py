@@ -454,18 +454,6 @@ class TestPriorityAging:
             PlanService(num_workers=0, aging_s=-1.0)
 
 
-class TestMemoHitTelemetry:
-    def test_memo_hits_counter_flows_to_stats(self, tiny_vlm, small_cluster,
-                                              parallel2, cost_model):
-        service = make_service(tiny_vlm, small_cluster, parallel2, cost_model)
-        service.submit("vlm", controlled_batch([4, 8]))
-        service.step()
-        snap = service.stats.snapshot()
-        assert "memo_hits" in snap
-        assert snap["memo_hits"] >= 0
-        service.close()
-
-
 def scaled_trace(trace, factor):
     """A copy of ``trace`` whose span durations are scaled by ``factor``
     — a stand-in for systematically distorted (noisy) observations."""

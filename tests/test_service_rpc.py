@@ -606,6 +606,57 @@ class TestDisconnectAndDrain:
         assert outcome["records"], outcome
         assert not outcome["errors"]
 
+    def test_close_waits_for_the_submit_response_write(self, serving,
+                                                       make_planner):
+        """A submit stays in flight until its response is written.
+
+        The response write is held open on an event, so close() provably
+        runs after the plan is computed but before it is on the wire —
+        no timing window.
+        """
+        _service, server = serving(num_workers=1)
+        writing = threading.Event()
+        release = threading.Event()
+        original_send = server._try_send
+
+        def held_send(sock, conn, payload):
+            if "plan" in (payload.get("result") or {}):
+                writing.set()
+                assert release.wait(30), "the held write was never released"
+            return original_send(sock, conn, payload)
+
+        server._try_send = held_send
+        batch = controlled_batch([5, 7])
+        outcome = {}
+
+        def drive():
+            remote = FleetClient([server.address], "vlm", 0, [batch],
+                                 planner=make_planner(), timeout_s=60)
+            remote.run()
+            outcome["records"] = list(remote.records)
+            outcome["errors"] = list(remote.errors)
+            remote.close()
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        try:
+            assert writing.wait(30), "submit response never reached the wire"
+            assert server.inflight_requests(), (
+                "submit unregistered before its response was sent")
+            closer = threading.Thread(target=server.close,
+                                      kwargs={"timeout": 30})
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive(), "close() did not wait for the reply"
+        finally:
+            release.set()
+        closer.join(timeout=60)
+        assert not closer.is_alive(), "server.close() wedged"
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert outcome["records"], outcome
+        assert not outcome["errors"]
+
     def test_clean_client_close_is_not_mid_request(self, serving):
         _service, server = serving()
         client = PlanServiceClient(server.address)
