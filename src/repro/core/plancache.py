@@ -239,30 +239,64 @@ class PlanCache:
         result.elapsed_s = time.perf_counter() - start
         return result
 
+    def probe(self, digest: str,
+              context_digest: str) -> Optional[CacheLookup]:
+        """Exact hit by signature digest alone, before any graph exists.
+
+        The planning service's digest-first path: a remote client sends
+        the digest it already computed for ring routing, and a hit here
+        is answered without building the batch's graph.  Memory, then
+        disk, with the promotion and hit accounting of :meth:`lookup`'s
+        exact branch.  An entry stored under another planning context
+        (``context_digest`` mismatch — a recalibration retired it) is
+        treated as absent.  Returns ``None`` on a miss and counts
+        nothing: the caller falls back to :meth:`lookup`, which counts
+        the request once.
+        """
+        start = time.perf_counter()
+        with self._lock:
+            result = self._exact_hit(digest, context_digest)
+        if result is not None:
+            result.elapsed_s = time.perf_counter() - start
+        return result
+
+    def _exact_hit(self, digest: str,
+                   context_digest: str) -> Optional[CacheLookup]:
+        """Memory-then-disk exact hit for ``digest``; caller holds the
+        lock.  Entries of another context do not count (and are not
+        promoted)."""
+        entry = self._entries.get(digest)
+        if entry is not None:
+            if entry.signature.context_digest != context_digest:
+                return None
+            self._entries.move_to_end(digest)
+            self.stats.hits += 1
+            return CacheLookup(kind="hit", entry=entry, distance=0.0,
+                               tier="memory")
+        if self.disk_tier is None:
+            return None
+        entry = self.disk_tier.get(digest)
+        if entry is None or entry.signature.context_digest != context_digest:
+            return None
+        # Promote into the hot set so the next lookup is a memory hit.
+        # A promotion is not a fresh store (stats.stores describes plans
+        # *produced*), but it does respect capacity like one.
+        self._entries[digest] = entry
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+        self.stats.hits += 1
+        self.stats.disk_hits += 1
+        return CacheLookup(kind="hit", entry=entry, distance=0.0,
+                           tier="disk")
+
     def _lookup(self, signature: GraphSignature,
                 allow_near: bool) -> CacheLookup:
         with self._lock:
-            entry = self._entries.get(signature.digest)
-            if entry is not None:
-                self._entries.move_to_end(signature.digest)
-                self.stats.hits += 1
-                return CacheLookup(kind="hit", entry=entry, distance=0.0,
-                                   tier="memory")
-            if self.disk_tier is not None:
-                entry = self.disk_tier.get(signature.digest)
-                if entry is not None:
-                    # Promote into the hot set so the next lookup is a
-                    # memory hit.  A promotion is not a fresh store
-                    # (stats.stores describes plans *produced*), but it
-                    # does respect capacity like one.
-                    self._entries[signature.digest] = entry
-                    while len(self._entries) > self.capacity:
-                        self._entries.popitem(last=False)
-                        self.stats.evictions += 1
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
-                    return CacheLookup(kind="hit", entry=entry,
-                                       distance=0.0, tier="disk")
+            hit = self._exact_hit(signature.digest,
+                                  signature.context_digest)
+            if hit is not None:
+                return hit
             if self.near_miss and allow_near:
                 best: Optional[CachedPlan] = None
                 best_distance = float("inf")

@@ -286,29 +286,6 @@ class OnlinePlanner:
         """
         return self.plan_prepared(self.prepare(batch))
 
-    def replay_prepared(
-        self, prepared: PreparedIteration
-    ) -> Optional[SearchResult]:
-        """Replay a prepared batch from an exact cache hit, or ``None``.
-
-        The planning service's fan-out path: after a coalesced leader
-        search stores its plan, every waiter replays it onto its own
-        (signature-identical) graph in one simulation.  Returns ``None``
-        when no exact entry exists (caching disabled, or the entry was
-        evicted/invalidated between fan-out and replay) — callers fall
-        back to :meth:`plan_prepared`.
-        """
-        if self.cache is None or prepared.signature is None:
-            return None
-        lookup = self.cache.lookup(prepared.signature, allow_near=False)
-        if lookup.kind != "hit":
-            return None
-        result = self.searcher.replay(prepared.graph, lookup.entry,
-                                      prepared.signature)
-        result.cache_tier = lookup.tier
-        result.lookup_s = lookup.elapsed_s
-        return result
-
     def plan_prepared(self, prepared: PreparedIteration) -> SearchResult:
         """Stage 3: cache-assisted schedule search on a prepared batch."""
         graph = prepared.graph

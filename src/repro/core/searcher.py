@@ -324,7 +324,13 @@ class ScheduleSearcher:
                 "cannot replay a plan across different signatures; use a "
                 "warm-started search for near misses"
             )
-        self._prepare_memory(graph)
+        if self.memopt_mode in ("full", "lean"):
+            # decode_selection below sets every pair's strategy, so the
+            # most-memory-efficient pass _prepare_memory would run first
+            # is overwritten anyway: only the candidates are needed.
+            generate_candidates(graph)
+        else:
+            self._prepare_memory(graph)
         decode_selection(cached, signature, graph)
         ordering = decode_ordering(cached, signature)
         if ordering:

@@ -260,10 +260,14 @@ class PlanServiceClient:
         timeout_s: Optional[float] = None,
         trace: Optional[Dict] = None,
         deadline_s: Optional[float] = None,
+        digest: Optional[str] = None,
     ) -> Dict:
         """Submit a batch; returns the raw wire result (signature
         payload + canonical plan + report).  ``deadline_s`` is an
-        absolute local monotonic deadline (see :meth:`call`)."""
+        absolute local monotonic deadline (see :meth:`call`).
+        ``digest`` is the batch's locally computed signature digest;
+        with it the server can answer an exact cache hit without
+        building the graph."""
         params = {
             "job": job,
             "signature_version": SIGNATURE_VERSION,
@@ -276,6 +280,8 @@ class PlanServiceClient:
         if timeout_s is not None:
             params["timeout_s"] = timeout_s
             params["result_timeout_s"] = timeout_s
+        if digest is not None:
+            params["digest"] = digest
         return self.call("submit", params, trace=trace,
                          deadline_s=deadline_s)
 
@@ -403,7 +409,9 @@ def submit_and_replay(client: PlanServiceClient, job: str,
     """Ship one prepared batch to a server and re-materialize its plan.
 
     The round-trip core of :class:`~repro.fleet.client.FleetClient`'s
-    routed submits: send the batch metadata, verify the
+    routed submits: send the batch metadata with the local signature
+    digest (the optional ``digest`` submit field, which lets the server
+    answer an exact cache hit without building the graph), verify the
     server's signature digest matches the locally computed one (a
     mismatch means the processes plan under different contexts —
     replaying would be silently wrong), then replay the canonical plan
@@ -427,7 +435,8 @@ def submit_and_replay(client: PlanServiceClient, job: str,
     t0 = time.monotonic()
     response = client.submit_raw(job, batch, replica=replica, block=True,
                                  timeout_s=timeout_s, trace=trace_ctx,
-                                 deadline_s=deadline_s)
+                                 deadline_s=deadline_s,
+                                 digest=prepared.signature.digest)
     t1 = time.monotonic()
     remote_sig = signature_from_dict(response["signature"])
     if remote_sig.digest != prepared.signature.digest:

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.plancache import CacheLookup
 from repro.core.planner import PreparedIteration
 from repro.core.searcher import SearchResult
 
@@ -75,6 +76,10 @@ class PlanTicket:
         self.replica = replica
         self.priority = priority
         self.submitted_s = time.monotonic()
+        # Stamped once the service has built and fingerprinted the
+        # batch and handed the request to the queue (or to a coalesced
+        # leader): the start of the time it spends queued.
+        self.enqueued_s: Optional[float] = None
         self.started_s: Optional[float] = None
         self.done_s: Optional[float] = None
         self.outcome: Optional[str] = None
@@ -82,6 +87,10 @@ class PlanTicket:
         # PlanService.submit).  The RPC layer needs it to encode the
         # delivered plan into canonical signature space for the wire.
         self.prepared: Optional[PreparedIteration] = None
+        # A digest-first exact hit (PlanService.submit with a digest):
+        # the cache lookup whose canonical plan answers the request.
+        # Such a ticket has no prepared graph and no SearchResult.
+        self.hit: Optional[CacheLookup] = None
         # Distributed-tracing context ({"id", "span"}) when the client
         # stamped the request; the service tags its server-side spans
         # (queue-wait, cache-lookup, search/replay) with it.
@@ -110,20 +119,30 @@ class PlanTicket:
 
     @property
     def queue_wait_s(self) -> Optional[float]:
-        """Submit-to-start latency (time spent queued), once started."""
+        """Enqueue-to-start latency (time spent queued), once started.
+
+        Measured from :attr:`enqueued_s`, so the service's own graph
+        build and fingerprint are not counted as queueing; a ticket
+        that failed before it was enqueued measures from submission.
+        """
         if self.started_s is None:
             return None
-        return self.started_s - self.submitted_s
+        anchor = (self.enqueued_s if self.enqueued_s is not None
+                  else self.submitted_s)
+        return self.started_s - anchor
 
-    def result(self, timeout: Optional[float] = None) -> SearchResult:
-        """Block until the plan is ready; re-raises worker-side errors."""
+    def result(self, timeout: Optional[float] = None
+               ) -> Optional[SearchResult]:
+        """Block until the plan is ready; re-raises worker-side errors.
+
+        ``None`` for a digest-first hit: its plan is ``hit.entry``.
+        """
         if not self._event.wait(timeout):
             raise TimeoutError(
                 f"plan for job {self.job!r} not ready within {timeout}s"
             )
         if self._error is not None:
             raise self._error
-        assert self._result is not None
         return self._result
 
     # -- service side --------------------------------------------------------
@@ -132,7 +151,8 @@ class PlanTicket:
         if self.started_s is None:
             self.started_s = time.monotonic()
 
-    def complete(self, result: SearchResult, outcome: str) -> None:
+    def complete(self, result: Optional[SearchResult],
+                 outcome: str) -> None:
         self.mark_started()
         self._result = result
         self.outcome = outcome

@@ -35,6 +35,15 @@ payload onto its *own* locally built graph, so plans cross the process
 boundary the same way they cross the coalescing fan-out: one search,
 N identical-makespan schedules.
 
+``submit`` params may carry an optional ``digest`` (a string): the
+signature digest the client computed for its own graph.  The server
+probes its cache with it before building the batch's graph; an exact
+hit under the job's current context is answered at once with the
+cached canonical plan, and the report's ``total_ms`` is the makespan
+stored with it.  The client still replays and still checks the digest
+of the returned signature against its own.  A non-string ``digest`` is
+a protocol error; servers that predate the field ignore it.
+
 Disconnect semantics
 --------------------
 
@@ -296,6 +305,19 @@ def cost_model_from_dict(payload: Dict) -> CostModel:
         return CostModel(**payload)
     except TypeError as exc:
         raise RemotePlanError(f"malformed cost model: {exc}") from exc
+
+
+def _submit_reply(plan, ticket, report: Dict) -> Dict:
+    """The ``submit`` result: signature, canonical plan and the report,
+    completed with the ticket's outcome and timings."""
+    report.update(outcome=ticket.outcome, latency_s=ticket.latency_s,
+                  queue_wait_s=ticket.queue_wait_s)
+    return {
+        "signature": signature_to_dict(plan.signature),
+        "signature_version": SIGNATURE_VERSION,
+        "plan": plan_to_dict(plan),
+        "report": report,
+    }
 
 
 # -- address parsing ---------------------------------------------------------
@@ -779,6 +801,17 @@ class PlanServiceServer:
 
     def _handle_submit(self, params: Dict, conn: ConnectionStats,
                        request_id, trace_ctx=None, deadline_s=None) -> Dict:
+        """Plan one batch: ``params`` carry ``job``, ``signature_version``,
+        the batch's ``microbatches`` and optionally ``replica``,
+        ``priority``, ``block``, ``timeout_s``, ``result_timeout_s`` and
+        ``digest``.
+
+        With ``digest``, :meth:`PlanService.submit` answers an exact
+        cache hit on this connection thread without building the graph
+        (see the module docstring); the reply then carries the cached
+        canonical plan as stored.  Every other submit waits on its
+        ticket and encodes the delivered result.
+        """
         job = self._job(params)
         declared = params.get("signature_version")
         if declared != SIGNATURE_VERSION:
@@ -787,6 +820,11 @@ class PlanServiceServer:
                 f"v{declared!r}, server v{SIGNATURE_VERSION} — canonical "
                 f"plans would not replay"
             )
+        digest = params.get("digest")
+        if digest is not None and not isinstance(digest, str):
+            raise ProtocolError(
+                f"submit digest must be a string, got "
+                f"{type(digest).__name__}")
         batch = batch_from_dict(params)
         request = RemoteRequest(conn_id=conn.conn_id, request_id=request_id,
                                 method="submit", job=job)
@@ -823,8 +861,11 @@ class PlanServiceServer:
                 timeout=submit_timeout,
                 trace=trace_ctx,
                 deadline_s=deadline_s,
+                digest=digest,
             )
             request.ticket = ticket
+            if ticket.hit is not None:
+                return self._hit_reply(job, ticket)
             timeout = params.get("result_timeout_s") or self.result_timeout_s
             timeout = min(timeout, self.result_timeout_s)
             if deadline_s is not None:
@@ -854,28 +895,37 @@ class PlanServiceServer:
                 )
             canonical = encode_plan(result, prepared.signature,
                                     prepared.graph)
-            return {
-                "signature": signature_to_dict(prepared.signature),
-                "signature_version": SIGNATURE_VERSION,
-                "plan": plan_to_dict(canonical),
-                "report": {
-                    "outcome": ticket.outcome,
-                    "total_ms": result.total_ms,
-                    "interleave_ms": result.interleave_ms,
-                    "evaluations": result.evaluations,
-                    "cache_hit": result.cache_hit,
-                    "cache_tier": result.cache_tier,
-                    "warm_started": result.warm_started,
-                    "memopt_gap": result.memopt_gap,
-                    "latency_s": ticket.latency_s,
-                    "queue_wait_s": ticket.queue_wait_s,
-                    "label": result.schedule.label,
-                },
-            }
+            return _submit_reply(canonical, ticket, {
+                "total_ms": result.total_ms,
+                "interleave_ms": result.interleave_ms,
+                "evaluations": result.evaluations,
+                "cache_hit": result.cache_hit,
+                "cache_tier": result.cache_tier,
+                "warm_started": result.warm_started,
+                "memopt_gap": result.memopt_gap,
+                "label": result.schedule.label,
+            })
         finally:
             # Stays registered: the connection handler unregisters it
             # once the response has been sent.
             request.finish()
+
+    def _hit_reply(self, job: str, ticket) -> Dict:
+        """The reply to a digest-first hit: the cached canonical plan as
+        stored, reported as the replay it stands for (the stored
+        makespan is what a signature-equal graph replays to)."""
+        plan = ticket.hit.entry
+        strategy = self.service.job(job).planner.searcher.strategy
+        return _submit_reply(plan, ticket, {
+            "total_ms": plan.total_ms,
+            "interleave_ms": plan.interleave_ms,
+            "evaluations": 0,
+            "cache_hit": True,
+            "cache_tier": ticket.hit.tier,
+            "warm_started": False,
+            "memopt_gap": None,
+            "label": plan.label or f"dip-{strategy}",
+        })
 
     def _handle_prewarm(self, params: Dict, conn: ConnectionStats,
                         request_id, trace_ctx=None, deadline_s=None) -> Dict:

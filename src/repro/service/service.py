@@ -20,6 +20,11 @@ per registered job behind a shared, thread-safe
   or blocks when the caller asks to wait.  Optional priority *aging*
   (``aging_s``) bumps the effective priority of queued requests as they
   wait, so low-priority leaders cannot starve under saturation.
+* **Digest-first exact hits** — a remote client sends the signature
+  digest it routes by; :meth:`PlanService.submit` probes the cache with
+  it before building anything, and an exact hit under the job's current
+  context is answered on the submitting thread with the cached
+  canonical plan (no graph build, queue, worker or simulation).
 * **Background warm search** — :meth:`PlanService.prewarm` submits a
   lowest-priority request for an *anticipated* batch; idle workers fill
   the cache so the real request replays instead of searching.
@@ -326,6 +331,7 @@ class PlanService:
         timeout: Optional[float] = None,
         trace: Optional[Dict] = None,
         deadline_s: Optional[float] = None,
+        digest: Optional[str] = None,
     ) -> PlanTicket:
         """Request a plan for ``batch``; returns a waitable ticket.
 
@@ -336,6 +342,14 @@ class PlanService:
         slot.  When the queue is full the request is rejected with
         :class:`ServiceOverloadError` unless ``block`` asks to wait for
         space (``timeout`` bounds the wait).
+
+        ``digest`` is the signature digest the caller already computed
+        (a remote client routes by it).  With one, the shared cache is
+        probed *before* the graph is built: an exact hit under the
+        job's current planning context comes back as an already
+        completed ticket whose ``hit`` carries the canonical plan — no
+        graph build, no queue, no worker, no simulation (see
+        :meth:`_serve_cached`).  Anything else takes the path above.
 
         ``trace`` is an optional distributed-tracing context
         (``{"id", "span"}``) stamped by the client; with a tracer
@@ -357,10 +371,14 @@ class PlanService:
         )
         ticket.trace = trace
         ticket.deadline_s = deadline_s
+        if digest is not None and self._serve_cached(job, ticket, digest):
+            return ticket
         with job.lock:
             prepared = job.planner.prepare(batch)
         ticket.prepared = prepared
+        ticket.enqueued_s = time.monotonic()
         self.stats.count("submitted")
+        # From here on the digest is the one this service computed.
         digest = (prepared.signature.digest
                   if prepared.signature is not None else None)
         deadline = (time.monotonic() + timeout) if timeout is not None else None
@@ -422,6 +440,45 @@ class PlanService:
             self.stats.queue_changed(self._queued)
             self._not_empty.notify()
         return ticket
+
+    def _serve_cached(self, job: RegisteredJob, ticket: PlanTicket,
+                      digest: str) -> bool:
+        """Answer ``ticket`` from the cache by digest alone, if possible.
+
+        Runs in the submitting thread, under the job's search/swap
+        exclusion so a recalibration cannot swap the context between
+        the probe and the context check.  A digest with a leader in
+        flight is left to coalesce (its plan is not cached yet), and a
+        probe miss — absent entry, or one stored under a retired
+        context — counts nothing; both return ``False`` and the request
+        takes the normal path.  On a hit the ticket completes here with
+        the counters and spans of a worker-served hit.
+        """
+        cache = job.planner.cache
+        if cache is None:
+            return False
+        if self.coalesce:
+            with self._mutex:
+                if digest in self._pending:
+                    return False
+        job.begin_search()
+        try:
+            probe_s = time.monotonic()
+            hit = cache.probe(digest, job.planner.context_digest())
+            if hit is None:
+                return False
+            ticket.enqueued_s = ticket.started_s = probe_s
+            ticket.hit = hit
+            self.stats.count("submitted")
+            self.stats.count("replays")
+            self.stats.count("disk_hits" if hit.tier == "disk"
+                             else "memory_hits")
+            self._emit_leader_spans(ticket, OUTCOME_HIT,
+                                    lookup_s=hit.elapsed_s, tier=hit.tier)
+            self._deliver(ticket, None, OUTCOME_HIT)
+            return True
+        finally:
+            job.end_search()
 
     def prewarm(
         self,
@@ -526,7 +583,10 @@ class PlanService:
             # unblocks the remote submit handler, and the client must be
             # able to read a fully written trace the moment its RPC
             # returns.
-            self._emit_leader_spans(entry.ticket, result, outcome)
+            self._emit_leader_spans(entry.ticket, outcome,
+                                    lookup_s=result.lookup_s,
+                                    tier=result.cache_tier,
+                                    evaluations=result.evaluations)
             self._deliver(entry.ticket, result, outcome)
             if entry.waiters:
                 self._fan_out(entry, result)
@@ -567,7 +627,7 @@ class PlanService:
             if self._pending.get(entry.digest) is entry:
                 del self._pending[entry.digest]
 
-    def _deliver(self, ticket: PlanTicket, result: SearchResult,
+    def _deliver(self, ticket: PlanTicket, result: Optional[SearchResult],
                  outcome: str) -> None:
         ticket.complete(result, outcome)
         self.stats.count("completed")
@@ -613,12 +673,22 @@ class PlanService:
             return None
         return trace_id, str(ctx.get("span") or "")
 
-    def _emit_leader_spans(self, ticket: PlanTicket,
-                           result: SearchResult, outcome: str) -> None:
-        """Server-side spans for a traced leader: queue-wait, the cache
-        lookup, then the search or replay that served it — all tagged
-        with the client's trace id so the obs merger can join them
-        across the process boundary.
+    def _emit_prepare_span(self, ticket: PlanTicket, trace_id: str,
+                           parent: str, common: Dict) -> None:
+        """The service's own graph build + fingerprint: submission to
+        enqueue (absent on a digest-first hit, which builds nothing)."""
+        if ticket.prepared is not None and ticket.enqueued_s is not None:
+            self.tracer.record("prepare", ticket.submitted_s,
+                               ticket.enqueued_s, trace_id, parent=parent,
+                               **common)
+
+    def _emit_leader_spans(self, ticket: PlanTicket, outcome: str,
+                           lookup_s: float, tier: Optional[str],
+                           evaluations: int = 0) -> None:
+        """Server-side spans for a traced leader (or digest-first hit):
+        prepare, queue-wait, the cache lookup, then the search or replay
+        that served it — all tagged with the client's trace id so the
+        obs merger can join them across the process boundary.
 
         Runs *before* delivery (which unblocks the remote handler), so
         the request's end is read from the clock here rather than the
@@ -630,31 +700,32 @@ class PlanService:
         trace_id, parent = ctx
         done_s = time.monotonic()
         common = {"job": ticket.job, "replica": ticket.replica}
-        self.tracer.record("queue-wait", ticket.submitted_s,
+        self._emit_prepare_span(ticket, trace_id, parent, common)
+        self.tracer.record("queue-wait", ticket.enqueued_s,
                            ticket.started_s, trace_id, parent=parent,
                            **common)
-        lookup_end = min(done_s,
-                         ticket.started_s + max(0.0, result.lookup_s))
+        lookup_end = min(done_s, ticket.started_s + max(0.0, lookup_s))
         self.tracer.record("cache-lookup", ticket.started_s, lookup_end,
-                           trace_id, parent=parent,
-                           tier=result.cache_tier or "", **common)
-        name = "replay" if result.cache_hit else "leader-search"
+                           trace_id, parent=parent, tier=tier or "",
+                           **common)
+        name = "leader-search" if outcome == OUTCOME_SEARCH else "replay"
         self.tracer.record(name, lookup_end, done_s, trace_id,
-                           parent=parent, tier=result.cache_tier or "",
-                           outcome=outcome,
-                           evaluations=result.evaluations, **common)
+                           parent=parent, tier=tier or "",
+                           outcome=outcome, evaluations=evaluations,
+                           **common)
 
     def _emit_waiter_spans(self, ticket: PlanTicket) -> None:
-        """Spans for a traced coalesced waiter: the wait on its leader,
-        then its own fan-out replay.  Runs before delivery, like
-        :meth:`_emit_leader_spans`."""
+        """Spans for a traced coalesced waiter: its prepare, the wait on
+        its leader, then its own fan-out replay.  Runs before delivery,
+        like :meth:`_emit_leader_spans`."""
         ctx = self._trace_context(ticket)
         if ctx is None:
             return
         trace_id, parent = ctx
         done_s = time.monotonic()
         common = {"job": ticket.job, "replica": ticket.replica}
-        self.tracer.record("coalesce-wait", ticket.submitted_s,
+        self._emit_prepare_span(ticket, trace_id, parent, common)
+        self.tracer.record("coalesce-wait", ticket.enqueued_s,
                            ticket.started_s, trace_id, parent=parent,
                            **common)
         self.tracer.record("replay", ticket.started_s, done_s,

@@ -1,7 +1,13 @@
 """Tests for the concurrent planning service (src/repro/service/)."""
 
+import dataclasses
+import sys
+import threading
+import time
+
 import pytest
 
+from repro.core.cachetier import DiskCacheTier
 from repro.core.plancache import PlanCache
 from repro.core.planner import OnlinePlanner
 from repro.core.searcher import ScheduleSearcher
@@ -365,6 +371,185 @@ class TestRecalibration:
         rel = abs(trace.total_ms - result.total_ms) / trace.total_ms
         assert rel > 0.01  # hidden truth visibly diverges pre-calibration
         assert not trace.validate()
+        service.close()
+
+
+class TestDigestFirstHits:
+    """``submit(digest=...)``: an exact hit completes in the submitting
+    thread; misses, in-flight leaders and stale contexts queue."""
+
+    def digest_of(self, service, batch):
+        return service.job("vlm").planner.prepare(batch).signature.digest
+
+    def test_hit_completes_at_submit(self, tiny_vlm, small_cluster,
+                                     parallel2, cost_model):
+        service = make_service(tiny_vlm, small_cluster, parallel2, cost_model)
+        batch = controlled_batch([4, 8])
+        searched = service.submit("vlm", batch)
+        service.step()
+        digest = searched.prepared.signature.digest
+        ticket = service.submit("vlm", batch, digest=digest)
+        assert ticket.done() and service.queue_depth == 0
+        assert ticket.outcome == OUTCOME_HIT
+        assert ticket.prepared is None and ticket.result(0) is None
+        assert ticket.hit.tier == "memory"
+        assert ticket.hit.entry.total_ms == searched.result(1).total_ms
+        assert ticket.queue_wait_s == 0.0
+        stats = service.stats
+        assert (stats.submitted, stats.completed, stats.replays) == (2, 2, 1)
+        assert (stats.memory_hits, stats.disk_hits) == (1, 0)
+        assert len(stats.snapshot(include_samples=True)
+                   ["latency_samples_s"]) == 2
+        assert (service.cache.stats.hits, service.cache.stats.misses) == (1, 1)
+        service.close()
+
+    def test_disk_hit_promotes_and_counts_once(self, tiny_vlm, small_cluster,
+                                               parallel2, cost_model,
+                                               tmp_path):
+        tier = DiskCacheTier(str(tmp_path / "tier"))
+        writer = make_service(tiny_vlm, small_cluster, parallel2, cost_model,
+                              plan_cache=PlanCache(disk_tier=tier))
+        batch = controlled_batch([4, 8])
+        searched = writer.submit("vlm", batch)
+        writer.step()
+        writer.close()
+        digest = searched.prepared.signature.digest
+        cache = PlanCache(disk_tier=tier)
+        reader = make_service(tiny_vlm, small_cluster, parallel2, cost_model,
+                              plan_cache=cache)
+        ticket = reader.submit("vlm", batch, digest=digest)
+        assert ticket.done() and ticket.hit.tier == "disk"
+        assert digest in cache  # promoted into the memory tier
+        assert (cache.stats.hits, cache.stats.disk_hits,
+                cache.stats.misses) == (1, 1, 0)
+        assert (reader.stats.disk_hits, reader.stats.memory_hits) == (1, 0)
+        again = reader.submit("vlm", batch, digest=digest)
+        assert again.hit.tier == "memory"
+        assert (cache.stats.hits, cache.stats.disk_hits) == (2, 1)
+        assert (reader.stats.disk_hits, reader.stats.memory_hits) == (1, 1)
+        reader.close()
+
+    def test_miss_counts_one_cache_miss(self, tiny_vlm, small_cluster,
+                                        parallel2, cost_model):
+        service = make_service(tiny_vlm, small_cluster, parallel2, cost_model)
+        batch = controlled_batch([4, 8])
+        ticket = service.submit("vlm", batch,
+                                digest=self.digest_of(service, batch))
+        assert not ticket.done() and ticket.hit is None
+        service.step()
+        assert ticket.outcome == OUTCOME_SEARCH
+        stats = service.cache.stats
+        assert (stats.misses, stats.hits, stats.lookups) == (1, 0, 1)
+        service.close()
+
+    def test_inflight_leader_coalesces_instead(self, tiny_vlm, small_cluster,
+                                               parallel2, cost_model):
+        service = make_service(tiny_vlm, small_cluster, parallel2, cost_model)
+        batch = controlled_batch([4, 8])
+        leader = service.submit("vlm", batch)
+        waiter = service.submit("vlm", batch,
+                                digest=leader.prepared.signature.digest)
+        assert service.queue_depth == 1 and not waiter.done()
+        assert service.cache.stats.lookups == 0  # no probe, no lookup
+        service.step()
+        assert (leader.outcome, waiter.outcome) == (OUTCOME_SEARCH,
+                                                    OUTCOME_COALESCED)
+        service.close()
+
+    def test_stale_context_entry_is_not_served(self, tiny_vlm, small_cluster,
+                                               parallel2, cost_model):
+        service = make_service(tiny_vlm, small_cluster, parallel2, cost_model)
+        batch = controlled_batch([4, 8])
+        searched = service.submit("vlm", batch)
+        service.step()
+        job = service.job("vlm")
+        with job.lock:
+            job.swap_cost_model(dataclasses.replace(
+                cost_model, compute_efficiency=0.11))
+        ticket = service.submit("vlm", batch,
+                                digest=searched.prepared.signature.digest)
+        assert not ticket.done() and service.cache.stats.hits == 0
+        service.step()
+        assert ticket.outcome == OUTCOME_SEARCH
+        assert (ticket.prepared.signature.digest
+                != searched.prepared.signature.digest)
+        service.close()
+
+    def test_closed_service_rejects_digest_submit(self, tiny_vlm,
+                                                  small_cluster, parallel2,
+                                                  cost_model):
+        service = make_service(tiny_vlm, small_cluster, parallel2, cost_model)
+        batch = controlled_batch([4, 8])
+        searched = service.submit("vlm", batch)
+        service.step()
+        service.close()
+        with pytest.raises(ServiceClosedError):
+            service.submit("vlm", batch,
+                           digest=searched.prepared.signature.digest)
+
+    def test_concurrent_hits_keep_counters_consistent(self, tiny_vlm,
+                                                      small_cluster,
+                                                      parallel2, cost_model):
+        """Digest-first and queued hits from many threads at once: every
+        request is served, and the tier counters still add up."""
+        service = make_service(tiny_vlm, small_cluster, parallel2,
+                               cost_model, num_workers=2)
+        batches = [controlled_batch([n, 8]) for n in (2, 4, 6)]
+        digests = [service.submit("vlm", b).result(timeout=60).signature
+                   for b in batches]
+        outcomes, errors = [], []
+
+        def hammer(offset):
+            try:
+                for j in range(20):
+                    k = (offset + j) % len(batches)
+                    ticket = service.submit(
+                        "vlm", batches[k],
+                        digest=digests[k] if j % 4 else None)
+                    ticket.result(timeout=60)
+                    outcomes.append(ticket.outcome)
+            except BaseException as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,))
+                       for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert len(outcomes) == 120
+        assert set(outcomes) <= {OUTCOME_HIT, OUTCOME_COALESCED}
+        stats = service.stats
+        assert stats.submitted == stats.completed == 123
+        assert stats.searches == 3 and stats.replays == 120
+        assert stats.memory_hits + stats.coalesced == 120
+        assert service.cache.stats.hits == stats.memory_hits
+        service.close()
+
+    def test_queue_wait_excludes_the_service_prepare(self, tiny_vlm,
+                                                     small_cluster, parallel2,
+                                                     cost_model):
+        service = make_service(tiny_vlm, small_cluster, parallel2, cost_model)
+        planner = service.job("vlm").planner
+        original = planner.prepare
+
+        def slow_prepare(batch):
+            time.sleep(0.2)
+            return original(batch)
+
+        planner.prepare = slow_prepare
+        ticket = service.submit("vlm", controlled_batch([4, 8]))
+        service.step()
+        ticket.result(1)
+        assert ticket.latency_s >= 0.2
+        assert ticket.queue_wait_s < 0.1
         service.close()
 
 

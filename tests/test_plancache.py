@@ -327,32 +327,6 @@ class TestPlannerIntegration:
         assert not result.cache_hit
         assert shared.stats.lookups == 0
 
-    def test_replay_prepared_round_trip(self, cached_planner):
-        """The split prepare/replay API the planning service fans out
-        with: None before anything is cached, an exact-hit replay after."""
-        prep = cached_planner.prepare(controlled_batch([4, 8]))
-        assert cached_planner.replay_prepared(prep) is None
-        cold = cached_planner.plan_prepared(prep)
-        prep2 = cached_planner.prepare(controlled_batch([4, 8],
-                                                        start_index=7))
-        replayed = cached_planner.replay_prepared(prep2)
-        assert replayed is not None
-        assert replayed.cache_hit
-        assert replayed.evaluations == 0
-        assert replayed.total_ms == pytest.approx(cold.total_ms)
-
-    def test_replay_prepared_without_cache_is_none(self, tiny_vlm,
-                                                   small_cluster, parallel2,
-                                                   cost_model):
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                    budget_evaluations=4, seed=0)
-        planner = OnlinePlanner(tiny_vlm, small_cluster, parallel2,
-                                cost_model, searcher=searcher,
-                                enable_plan_cache=False)
-        prep = planner.prepare(controlled_batch([4, 8]))
-        assert prep.signature is None
-        assert planner.replay_prepared(prep) is None
-
     def test_run_reports_cache_fields(self, cached_planner):
         batches = [controlled_batch([4, 8]), controlled_batch([4, 8])]
         reports = cached_planner.run(batches, asynchronous=False)

@@ -182,3 +182,60 @@ class TestWarmStartedSearch:
         result = searcher.search(vlm_graph, seed_ordering=seed)
         assert result.warm_started
         assert validate_schedule(vlm_graph, result.schedule.order) == []
+
+
+def reference_replay(searcher, graph, cached, signature):
+    """Cache replay with the most-memory-efficient selection pass that
+    ``ScheduleSearcher.replay`` used to run before decoding selections."""
+    from repro.core.plancache import (
+        decode_order,
+        decode_ordering,
+        decode_selection,
+    )
+    from repro.sim.pipeline import simulate_pipeline
+
+    searcher._prepare_memory(graph)
+    decode_selection(cached, signature, graph)
+    ordering = decode_ordering(cached, signature)
+    if ordering:
+        graph.apply_group_priorities(
+            {g: len(ordering) - i for i, g in enumerate(ordering)})
+    order = decode_order(cached, signature)
+    predicted = simulate_pipeline(graph, order, searcher.cluster,
+                                  searcher.parallel, searcher.cost_model)
+    return order, predicted.total_ms
+
+
+class TestReplayDifferential:
+    """Replay skips the selection pass ``decode_selection`` overwrites;
+    selections, per-rank order and makespan must stay bit-identical."""
+
+    @pytest.mark.parametrize("model,microbatches",
+                             [("VLM-M", 16), ("T2V-S", 7), ("VLM-M", 12)])
+    @pytest.mark.parametrize("seed", [101, 102, 103])
+    @pytest.mark.parametrize("mode", ["full", "lean", "uniform"])
+    def test_replay_matches_reference(self, model, microbatches, seed, mode):
+        from repro.cli import _setup, _workload
+        from repro.core.plancache import encode_plan
+
+        arch, cluster, parallel, planner = _setup(model, 2, 0)
+        planner.searcher = ScheduleSearcher(cluster, parallel,
+                                            planner.cost_model,
+                                            budget_evaluations=2,
+                                            memopt_mode=mode, seed=0)
+        batch = _workload(arch, microbatches, seed).next_batch()
+        searched = planner.prepare(batch)
+        result = planner.searcher.search(searched.graph)
+        cached = encode_plan(result, searched.signature, searched.graph)
+
+        replayed = planner.prepare(batch)
+        got = planner.searcher.replay(replayed.graph, cached,
+                                      replayed.signature)
+        reference = planner.prepare(batch)
+        order, total_ms = reference_replay(planner.searcher, reference.graph,
+                                           cached, reference.signature)
+        assert ([p.selected for p in replayed.graph.pairs]
+                == [p.selected for p in reference.graph.pairs])
+        assert got.schedule.order == order
+        assert got.total_ms == total_ms
+        assert got.total_ms == result.total_ms

@@ -8,12 +8,15 @@ one server driven as a 1-shard fleet (``FleetClient([address], ...)``):
   wedged server thread);
 * cross-process plans are makespan-identical to in-process plans;
 * coalescing across connections (the multi-process DP regime);
+* a submit carrying the client's digest is answered from the cache
+  without the server's graph build, queue, worker or simulation;
 * a client disconnecting between submit and result never hangs the
   leader's local waiters, and its registry entry is reaped;
 * server close drains in-flight remote requests deterministically;
 * concurrent clients hammering one server yield clean overload errors.
 """
 
+import dataclasses
 import json
 import socket
 import threading
@@ -28,8 +31,10 @@ from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch
 from repro.data.workload import vlm_workload
 from repro.fleet.client import FleetClient, drive_fleet
+from repro.obs.tracing import RequestTracer, spans_for_trace
 from repro.service import (
     OUTCOME_COALESCED,
+    OUTCOME_HIT,
     OUTCOME_SEARCH,
     PlanService,
     PlanServiceClient,
@@ -259,6 +264,21 @@ class TestServerRobustness:
         assert not response["ok"]
         assert response["error"]["kind"] == "protocol"
         assert "signature-version" in response["error"]["message"]
+        sock.close()
+        self.assert_alive(server)
+
+    def test_non_string_digest_is_protocol_error(self, serving):
+        _service, server = serving(num_workers=1)
+        sock = raw_socket(server)
+        params = {"job": "vlm", "signature_version": SIGNATURE_VERSION,
+                  "digest": 123}
+        params.update(batch_to_dict(controlled_batch([4])))
+        send_frame(sock, request_envelope(1, "submit", params))
+        response = recv_frame(sock)
+        assert not response["ok"]
+        assert response["error"]["kind"] == "protocol"
+        assert "digest" in response["error"]["message"]
+        assert recv_frame(sock) is None  # the server closed its side
         sock.close()
         self.assert_alive(server)
 
@@ -515,6 +535,115 @@ class TestCrossProcessPlanning:
             assert saved["entries"] == 1
         with open(target) as f:
             assert len(json.load(f)["entries"]) == 1
+
+
+def forbidden(*_args, **_kwargs):
+    raise AssertionError("a digest-first hit must not reach this")
+
+
+class TestDigestFirstHits:
+    """A submit carrying the client's digest is answered from the cache
+    without building the graph; everything else takes the queue."""
+
+    def test_remote_hit_skips_prepare_worker_and_simulation(
+            self, serving, make_planner):
+        # Zero workers: only the submitting connection thread can answer.
+        service, server = serving(num_workers=0)
+        searched = service.submit("vlm", controlled_batch([4, 8]))
+        assert service.step()
+        job_planner = service.job("vlm").planner
+        job_planner.prepare = forbidden
+        job_planner.searcher.search = forbidden
+        job_planner.searcher.replay = forbidden
+        remote = FleetClient([server.address], "vlm", 0,
+                             [controlled_batch([4, 8], start_index=5)],
+                             planner=make_planner(), timeout_s=30)
+        records = remote.run()
+        remote.close()
+        assert not remote.errors, remote.errors
+        assert records[0].outcome == OUTCOME_HIT
+        assert records[0].predicted_ms == searched.result(1).total_ms
+        assert records[0].memopt_gap is None
+        assert service.queue_depth == 0
+        stats = service.stats
+        assert (stats.submitted, stats.completed) == (2, 2)
+        assert (stats.replays, stats.memory_hits, stats.disk_hits) == (1, 1, 0)
+        assert service.cache.stats.hits == 1
+
+    def test_stale_context_client_gets_mismatch_not_stale_plan(
+            self, serving, make_planner):
+        service, server = serving(num_workers=1)
+        batch = controlled_batch([4, 8])
+        remote = FleetClient([server.address], "vlm", 0, [batch],
+                             planner=make_planner(), timeout_s=60)
+        _result, report = remote.plan_batch(batch)
+        assert report["outcome"] == OUTCOME_SEARCH
+        digest = remote.routes[0][0]
+        job = service.job("vlm")
+        # Swap the model without invalidating: the old-context entry
+        # stays cached under the digest the stale client sends.
+        with job.lock:
+            job.swap_cost_model(dataclasses.replace(
+                job.planner.cost_model, compute_efficiency=0.11))
+        assert digest in service.cache
+        hits = service.cache.stats.hits
+        with pytest.raises(SignatureMismatchError):
+            remote.plan_batch(batch)
+        remote.close()
+        assert service.cache.stats.hits == hits  # the probe counted nothing
+        assert service.stats.memory_hits == 0
+        assert service.stats.searches == 2  # re-searched under the new model
+
+    def test_submit_without_digest_takes_the_queue(self, serving):
+        service, server = serving(num_workers=1)
+        batch = controlled_batch([4, 8])
+        service.submit("vlm", batch).result(timeout=60)
+        planner = service.job("vlm").planner
+        original = planner.prepare
+        prepares = []
+
+        def counting_prepare(b):
+            prepares.append(b)
+            return original(b)
+
+        planner.prepare = counting_prepare
+        with PlanServiceClient(server.address) as client:
+            response = client.submit_raw("vlm", batch)
+        assert response["report"]["outcome"] == OUTCOME_HIT
+        assert len(prepares) == 1  # graph built, served by a worker
+        assert service.stats.memory_hits == 1
+
+    def test_traced_hit_spans_merge_and_validate(self, serving,
+                                                 make_planner, tmp_path):
+        from repro.cli import main as cli_main
+
+        service, server = serving(num_workers=1)
+        shard_tracer = RequestTracer(role="shard", pid=1000)
+        service.tracer = shard_tracer
+        client_tracer = RequestTracer(role="client", pid=1)
+        batches = [controlled_batch([4, 8]),
+                   controlled_batch([4, 8], start_index=5)]
+        remote = FleetClient([server.address], "vlm", 0, batches,
+                             planner=make_planner(), timeout_s=60,
+                             tracer=client_tracer)
+        records = remote.run()
+        remote.close()
+        assert [r.outcome for r in records] == [OUTCOME_SEARCH, OUTCOME_HIT]
+        search_id, hit_id = [s.attrs["trace_id"] for s in client_tracer.spans
+                             if s.name == "submit"]
+        sources = [client_tracer, shard_tracer]
+        search_names = {s.name for s in spans_for_trace(sources, search_id)}
+        assert {"prepare", "queue-wait", "cache-lookup",
+                "leader-search"} <= search_names
+        hit_names = [s.name for s in spans_for_trace(sources, hit_id)]
+        for expected in ("submit", "queue-wait", "cache-lookup", "replay",
+                         "client-replay"):
+            assert expected in hit_names, hit_names
+        assert "prepare" not in hit_names  # the hit built no graph
+        paths = [client_tracer.save(str(tmp_path / "client.trace.json")),
+                 shard_tracer.save(str(tmp_path / "shard.trace.json"))]
+        assert cli_main(["obs", "merge", *paths, "--validate", "--output",
+                         str(tmp_path / "merged.json")]) == 0
 
 
 class TestDisconnectAndDrain:
