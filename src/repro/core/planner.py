@@ -39,6 +39,7 @@ from repro.core.plancache import (
 )
 from repro.core.searcher import ScheduleSearcher, SearchResult
 from repro.core.signature import (
+    BlockMemo,
     GraphSignature,
     compute_signature,
     context_fingerprint,
@@ -205,6 +206,9 @@ class OnlinePlanner:
             self.cache = PlanCache(capacity=cache_size)
         self.warm_budget_fraction = warm_budget_fraction
         self.warm_budget_distance = warm_budget_distance
+        # Per-shape block digests and group counts for prepare(); keyed
+        # on the context digest, so set_cost_model needs no reset.
+        self._block_memo = BlockMemo()
 
     @property
     def cache_stats(self) -> Optional[CacheStats]:
@@ -246,8 +250,11 @@ class OnlinePlanner:
         """Stages 1-2: prefetch metadata, partition, fingerprint.
 
         Cheap relative to the search; safe to run in the submitting
-        thread.  The result feeds :meth:`plan_prepared` (directly, or
-        through a :class:`~repro.service.PlanService` queue).
+        thread, and from several threads at once.  A microbatch shape
+        seen before is neither re-hashed nor re-grouped (the planner's
+        :class:`~repro.core.signature.BlockMemo`), so no group map is
+        built here.  The result feeds :meth:`plan_prepared` (directly,
+        or through a :class:`~repro.service.PlanService` queue).
         """
         graph = build_iteration_graph(
             self.arch,
@@ -266,11 +273,13 @@ class OnlinePlanner:
             self.parallel,
             self.cost_model,
             extra=self.searcher.fingerprint(),
+            memo=self._block_memo,
+            batch=batch,
         )
         # Near misses only help when the search can consume a seed; keep
         # the warm-rate telemetry honest for natural / single-group runs.
         allow_near = (
-            self.searcher.supports_warm_start and len(graph.groups()) > 1
+            self.searcher.supports_warm_start and signature.num_groups > 1
         )
         return PreparedIteration(graph=graph, signature=signature,
                                  allow_near=allow_near)

@@ -17,7 +17,13 @@ therefore:
    rewritten relative to the block (shape, ranks, latencies, memory
    residency and dependency structure all contribute; the memory-
    optimization candidate space is a pure function of the hashed stage
-   costs and layer counts, so it is fingerprinted implicitly),
+   costs and layer counts, so it is fingerprinted implicitly) and counts
+   its segment groups — its distinct (module, direction) pairs.  Both
+   facts are pure functions of (context digest, microbatch metadata),
+   so an optional :class:`BlockMemo` keyed on that pair lets a repeated
+   microbatch shape skip the hashing, and lets the signature's group
+   count skip :meth:`IterationGraph.groups`; the whole-graph fallback
+   block never uses the memo,
 3. sorts the blocks by their digest — the canonical block order — and
    hashes the sorted sequence together with the graph-level constants
    and a *context* digest covering the :class:`ClusterSpec`,
@@ -34,9 +40,11 @@ graphs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
 from repro.core.stages import GroupKey, IterationGraph
@@ -45,6 +53,12 @@ from repro.sim.costmodel import CostModel
 #: Bumped whenever the hashed canonical form changes shape, so stale
 #: cache entries from older code can never alias new signatures.
 SIGNATURE_VERSION = 1
+
+#: Entries a :class:`BlockMemo` holds before it is cleared.
+BLOCK_MEMO_CAPACITY = 1024
+
+#: ``BlockInfo.microbatch`` of :func:`_split_blocks`' whole-graph block.
+WHOLE_GRAPH = -1
 
 
 @dataclass(frozen=True)
@@ -128,6 +142,11 @@ class GraphSignature:
     def num_pairs(self) -> int:
         return len(self._pair_to_canonical)
 
+    @property
+    def num_groups(self) -> int:
+        """Segment groups of the graph (the ordering search's unit)."""
+        return int(self.features[2])
+
     def canonical_uid(self, uid: int) -> int:
         return self._uid_to_canonical[uid]
 
@@ -187,6 +206,40 @@ def context_fingerprint(
     h.update(repr(cost_model).encode())
     h.update(repr(tuple(extra)).encode())
     return h.hexdigest()
+
+
+class BlockMemo:
+    """Per-shape block facts: (context digest, microbatch shape) ->
+    (block digest, group count).
+
+    A builder-emitted block is a pure function of its microbatch's
+    metadata within one planning context *and* one architecture and
+    partition plan, which the context digest does not cover — so a memo
+    belongs to one :class:`~repro.core.planner.OnlinePlanner`.  The shape
+    is the frozen ``Microbatch`` with its index zeroed: where a
+    microbatch sits in its batch never changes its block.
+
+    Holds at most :data:`BLOCK_MEMO_CAPACITY` entries and is cleared,
+    not evicted, when full.  Safe to share between threads: reads are
+    single dict lookups, and writes (whose values are pure functions of
+    their keys) take a lock so the bound holds.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Tuple[str, Hashable], Tuple[str, int]] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Tuple[str, Hashable]) -> Optional[Tuple[str, int]]:
+        return self._entries.get(key)
+
+    def put(self, key: Tuple[str, Hashable], value: Tuple[str, int]) -> None:
+        with self._lock:
+            if len(self._entries) >= BLOCK_MEMO_CAPACITY:
+                self._entries.clear()
+            self._entries[key] = value
 
 
 def _block_digest(graph: IterationGraph, block_stages, pair_start: int,
@@ -259,7 +312,7 @@ def _split_blocks(graph: IterationGraph) -> List[Tuple[int, int, int, int, int]]
             span[4] = max(span[4], stage.pair_id + 1)
 
     def whole_graph() -> List[Tuple[int, int, int, int, int]]:
-        return [(-1, 0, len(graph.stages), 0, len(graph.pairs))]
+        return [(WHOLE_GRAPH, 0, len(graph.stages), 0, len(graph.pairs))]
 
     if len({s[0] for s in spans}) != len(spans):
         return whole_graph()  # a microbatch's stages are not contiguous
@@ -280,7 +333,14 @@ def _split_blocks(graph: IterationGraph) -> List[Tuple[int, int, int, int, int]]
     return [tuple(s) for s in spans]
 
 
-def _features(graph: IterationGraph, num_blocks: int) -> Tuple[float, ...]:
+def _block_groups(block_stages) -> int:
+    """Distinct (module, direction) pairs of one microbatch's block."""
+    return len({(stage.key.module, stage.key.direction)
+                for stage in block_stages})
+
+
+def _features(graph: IterationGraph, num_blocks: int,
+              num_groups: int) -> Tuple[float, ...]:
     """Scale features driving the near-miss distance metric."""
     total_fw = 0.0
     total_bw = 0.0
@@ -293,7 +353,7 @@ def _features(graph: IterationGraph, num_blocks: int) -> Tuple[float, ...]:
     return (
         float(num_blocks),
         float(len(graph.stages)),
-        float(len(graph.groups())),
+        float(num_groups),
         total_fw,
         total_bw,
         total_act / 2**30,  # GiB
@@ -307,6 +367,8 @@ def compute_signature(
     parallel: ParallelConfig,
     cost_model: CostModel,
     extra: Sequence = (),
+    memo: Optional[BlockMemo] = None,
+    batch: Optional[Iterable] = None,
 ) -> GraphSignature:
     """Fingerprint one iteration graph within a planning context.
 
@@ -317,22 +379,47 @@ def compute_signature(
         cluster / parallel / cost_model: The planning context.
         extra: Additional context (searcher fingerprint) folded into the
             digest.
+        memo: Per-shape block facts to read and fill; the signature is
+            identical with or without it.
+        batch: The microbatches ``graph`` was built from; required with
+            ``memo``, which it keys.  A batch with repeated indices is
+            fingerprinted without the memo.
     """
     context = context_fingerprint(cluster, parallel, cost_model, extra)
-    spans = _split_blocks(graph)
-    blocks = [
-        BlockInfo(
+    shapes: Dict[int, Hashable] = {}
+    if memo is not None:
+        if batch is None:
+            raise ValueError("a block memo needs the graph's batch")
+        microbatches = list(batch)
+        shapes = {mb.index: dataclasses.replace(mb, index=0)
+                  for mb in microbatches}
+        if len(shapes) != len(microbatches):
+            shapes = {}
+    blocks = []
+    num_groups = 0
+    for mb, uid_start, uid_stop, pair_start, pair_stop in _split_blocks(graph):
+        block_stages = graph.stages[uid_start:uid_stop]
+        key = (context, shapes[mb]) \
+            if mb in shapes and mb != WHOLE_GRAPH else None
+        facts = memo.get(key) if key is not None else None
+        if facts is None:
+            facts = (
+                _block_digest(graph, block_stages, pair_start, uid_start),
+                len(graph.groups()) if mb == WHOLE_GRAPH
+                else _block_groups(block_stages),
+            )
+            if key is not None:
+                memo.put(key, facts)
+        digest, groups = facts
+        num_groups += groups
+        blocks.append(BlockInfo(
             microbatch=mb,
             uid_start=uid_start,
             uid_stop=uid_stop,
             pair_start=pair_start,
             pair_stop=pair_stop,
-            digest=_block_digest(
-                graph, graph.stages[uid_start:uid_stop], pair_start, uid_start
-            ),
-        )
-        for mb, uid_start, uid_stop, pair_start, pair_stop in spans
-    ]
+            digest=digest,
+        ))
     # Canonical order: by block shape first, digest second, original
     # position as a stable tiebreak (fully tied blocks are identical,
     # hence interchangeable).  Leading with the shape means *similar*
@@ -355,7 +442,7 @@ def compute_signature(
     return GraphSignature(
         digest=h.hexdigest(),
         context_digest=context,
-        features=_features(graph, len(blocks)),
+        features=_features(graph, len(blocks), num_groups),
         blocks=blocks,
         num_ranks=graph.num_ranks,
     )
