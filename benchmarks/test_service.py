@@ -103,7 +103,7 @@ def run_coalescing(setups):
     solo = OnlinePlanner(setup.arch, setup.cluster, setup.parallel,
                          setup.cost_model, searcher=make_searcher(setup))
     solo_result = solo.plan_iteration(batch)
-    stats = service.stats.snapshot()
+    stats = service.stats()
     service.close()
     return tickets, results, solo_result, queue_depth, stats
 
@@ -116,7 +116,7 @@ def run_service(setups, streams):
     report = drive_replicas(service, streams, replicas=REPLICAS,
                             timeout_s=300)
     elapsed = time.monotonic() - t0
-    stats = service.stats.snapshot()
+    stats = service.stats()
     cache_stats = service.cache.stats
     service.close()
     return elapsed, report, stats, cache_stats
@@ -226,7 +226,7 @@ def run_recalibration():
     report = run_recalibrating_replica(service, RECAL_JOB, batches,
                                        reference, timeout_s=300)
     cache_stats = service.cache.stats
-    stats = service.stats.snapshot()
+    stats = service.stats()
     service.close()
     return report, cache_stats, stats
 
@@ -333,7 +333,7 @@ def run_rpc_transport():
     local_report = drive_replicas(local_service, {RPC_JOB: batches},
                                   replicas=RPC_REPLICAS, timeout_s=600)
     local_s = time.monotonic() - t0
-    local_stats = local_service.stats.snapshot()
+    local_stats = local_service.stats()
     # Hit-path latency: the first batch is cached now, so repeated
     # submits replay without a search — the per-plan floor.
     local_hit_s = min(
@@ -354,7 +354,7 @@ def run_rpc_transport():
         planner_factory=planner_mirror, timeout_s=600,
     )
     remote_s = time.monotonic() - t0
-    remote_stats = remote_service.stats.snapshot()
+    remote_stats = remote_service.stats()
     wire_stats = server.remote.snapshot()
 
     # Hit-path latency over the socket: prepare + frame round trip +
@@ -406,7 +406,7 @@ def test_rpc_transport_identical_plans_and_overhead(benchmark):
         assert remote_ms[0] == pytest.approx(local_ms[0], rel=1e-12)
     # The socket path exercises the same coalescing machinery: one
     # search per distinct batch, the rest replays/coalesces — and every
-    # remote submit flowed through the server's ServiceStats.
+    # remote submit was counted in the server's service metrics.
     assert remote_stats["searches"] == RPC_ITERATIONS
     assert remote_stats["completed"] == total
     assert remote_stats["coalesced"] + remote_stats["replays"] > 0

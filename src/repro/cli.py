@@ -1042,7 +1042,7 @@ def cmd_service_bench(args) -> int:
     t0 = _time.monotonic()
     report = drive_replicas(service, streams, replicas=args.replicas)
     service_s = _time.monotonic() - t0
-    stats = service.stats.snapshot()
+    stats = service.stats()
     total = len(models) * args.replicas * args.iterations
     mismatched = sum(
         1 for r in report.records
@@ -1505,9 +1505,9 @@ def build_parser() -> argparse.ArgumentParser:
     oscrape.add_argument("--check", action="store_true",
                          help="exit nonzero unless cross-subsystem "
                               "consistency holds on every shard "
-                              "(tier-split hits sum to totals, metrics "
-                              "agree with the stats RPC, shed counter "
-                              "matches)")
+                              "(tier-split hits sum to totals, the stats "
+                              "RPC's hit and shed counts agree with the "
+                              "registry they are viewed from)")
     oscrape.add_argument("--client-metrics", default=None,
                          metavar="PATH",
                          help="client-side metrics snapshot JSON "

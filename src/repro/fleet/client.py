@@ -48,7 +48,7 @@ from repro.core.planner import OnlinePlanner
 from repro.data.batching import GlobalBatch
 from repro.fleet.breaker import CircuitBreaker
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.service.client import (
     PlanServiceClient,
     ServiceConnection,
@@ -63,7 +63,7 @@ from repro.service.requests import (
     SignatureMismatchError,
 )
 from repro.service.retry import RetryPolicy
-from repro.service.stats import ServiceStats
+from repro.service.stats import service_view
 from repro.trace.events import Trace
 
 
@@ -604,31 +604,34 @@ def _merged_stats(addresses: Sequence[str],
     """Per-shard raw ``stats`` snapshots plus one merged view;
     ``call(address, method, params)`` sends one RPC to a shard.
 
-    Shards are polled with ``samples=True`` so the merged latency
-    percentiles are recomputed from the union of per-shard sample
-    windows (see :meth:`ServiceStats.merge`), not averaged from
-    per-shard percentiles.  An unreachable shard contributes an
-    ``error`` entry instead of sinking the whole view.
+    The merged ``service`` section is :func:`service_view` of the
+    shards' registry snapshots (``metrics`` RPC) folded with
+    :func:`merge_snapshots`: counters sum, queue depths sum, peaks take
+    the max, and latency histograms add bucket-wise — so fleet
+    percentiles are exact over every shard's requests, whatever the
+    shard order.  An unreachable shard contributes an ``error`` entry
+    instead of sinking the whole view.
     """
     shards: Dict[str, Dict] = {}
-    parts: List[ServiceStats] = []
+    registries: List[Dict] = []
     cache_totals: Dict[str, float] = {}
     for address in addresses:
         try:
-            snap = call(address, "stats", {"samples": True})
+            snap = call(address, "stats", {})
+            registry = call(address, "metrics", {})["metrics"]
         except FAILOVER_ERRORS as exc:
             shards[address] = {"error": str(exc)}
             continue
         shards[address] = snap
-        parts.append(ServiceStats.from_snapshot(snap.get("service") or {}))
+        registries.append(registry)
         for key, value in (snap.get("cache") or {}).items():
             if isinstance(value, (int, float)):
                 cache_totals[key] = cache_totals.get(key, 0) + value
     return {
-        "service": ServiceStats.merge(parts).snapshot(),
+        "service": service_view(merge_snapshots(registries)),
         "cache": cache_totals,
         "shards": shards,
-        "reachable": len(parts),
+        "reachable": len(registries),
     }
 
 

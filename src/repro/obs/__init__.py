@@ -12,7 +12,7 @@ Three pieces, each usable on its own:
   rendered to Prometheus text exposition by :mod:`repro.obs.expo`.
 * :mod:`repro.obs.scrape` — ``repro obs scrape`` / ``repro obs report``:
   poll every shard's ``metrics`` RPC, merge, render, and cross-check the
-  metric counters against the ``stats`` RPC.
+  registry against the ``stats`` RPC view read from it.
 """
 
 from repro.obs.registry import (

@@ -12,16 +12,17 @@ aggregation, histogram buckets add element-wise).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 METRICS_FORMAT = "repro-metrics"
 METRICS_VERSION = 1
 
 #: Seconds-scale latency buckets (request path: sub-ms cache hits up to
-#: multi-second cold searches).
+#: cold searches of tens of seconds).  Service percentiles are read off
+#: these bounds, so they must span every latency worth telling apart.
 DEFAULT_LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
 #: Bytes-scale buckets for frame sizes.
@@ -76,10 +77,12 @@ class _Metric:
 class Counter(_Metric):
     """Monotonically increasing count, optionally labelled.
 
-    ``set_value`` exists for *bridging*: subsystems that already keep
-    their own counters (``ServiceStats``, ``CacheStats``...) export the
-    current absolute value at snapshot time instead of double-counting
-    on the hot path.
+    Integer increments stay integers, so counts remain exact through
+    ``snapshot`` -> JSON -> :func:`merge_snapshots`.  ``set_value``
+    exists for *bridging*: subsystems that still keep their own
+    counters (``CacheStats``, ``RemoteStats``...) export the current
+    absolute value at snapshot time instead of double-counting on the
+    hot path.
     """
 
     type = "counter"
@@ -88,22 +91,22 @@ class Counter(_Metric):
         super().__init__(*args)
         self._values: Dict[Tuple[str, ...], float] = {}
 
-    def inc(self, value: float = 1.0, **labels: object) -> None:
+    def inc(self, value: float = 1, **labels: object) -> None:
         if value < 0:
             raise MetricError(f"{self.name}: counters only go up")
         key = _label_key(self.label_names, labels, self.name)
         with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + value
+            self._values[key] = self._values.get(key, 0) + value
 
     def set_value(self, value: float, **labels: object) -> None:
         key = _label_key(self.label_names, labels, self.name)
         with self._lock:
-            self._values[key] = float(value)
+            self._values[key] = value
 
     def value(self, **labels: object) -> float:
         key = _label_key(self.label_names, labels, self.name)
         with self._lock:
-            return self._values.get(key, 0.0)
+            return self._values.get(key, 0)
 
     def _series_dicts(self) -> List[Dict]:
         with self._lock:
@@ -159,7 +162,9 @@ class Gauge(_Metric):
 class Histogram(_Metric):
     """Fixed-bucket histogram: per labelset, one int array of
     ``len(buckets) + 1`` non-cumulative counts plus sum and count.
-    Cumulative ``le`` form is produced only at exposition time."""
+    Cumulative ``le`` form is produced only at exposition time.  Values
+    are observed live (e.g. every served request's latency), so merged
+    snapshots aggregate whole distributions, not percentiles."""
 
     type = "histogram"
 
@@ -194,22 +199,6 @@ class Histogram(_Metric):
             slot[0][index] += 1
             slot[1] += value
             slot[2] += 1
-
-    def set_from_values(self, values: Iterable[float],
-                        **labels: object) -> None:
-        """Bridge helper: rebuild one labelset from a retained sample
-        window (e.g. ``ServiceStats`` latency deques) so repeated
-        snapshots don't re-observe the same samples."""
-        key = _label_key(self.label_names, labels, self.name)
-        counts = [0] * (len(self.buckets) + 1)
-        total = 0.0
-        n = 0
-        for value in values:
-            counts[self._bucket_index(value)] += 1
-            total += value
-            n += 1
-        with self._lock:
-            self._series[key] = [counts, total, n]
 
     def snapshot(self) -> Dict:
         entry = super().snapshot()

@@ -10,10 +10,13 @@ shard index, restarts, uptime, cache dir — all from the extended
 label-wise into a fleet-wide snapshot that renders as Prometheus text
 exposition (:mod:`repro.obs.expo`) or a human health report.
 
-:func:`check_scrape` asserts the cross-subsystem consistency the
-acceptance tests (and the CI obs-smoke job) rely on: the tier-split
-service hit counters must sum to the stats RPC's hit totals, and the
-cache's tier-split hits must sum to its tier-blind lookup counter.
+:func:`check_scrape` asserts the consistency the acceptance tests (and
+the CI obs-smoke job) rely on.  The stats RPC's ``service`` section is a
+view of the shard's metrics registry
+(:func:`~repro.service.stats.service_view`), so its hit and shed counts
+must equal the registry series they are read from — a check of the
+view.  Independently, the cache's tier-split hits must sum to its
+tier-blind lookup counter.
 
 .. note::
    The planning-service client is imported *inside* the scrape
@@ -74,7 +77,7 @@ def scrape_fleet(
     timeout_s: float = 10.0,
     include_stats: bool = True,
 ) -> List[ShardScrape]:
-    """Poll ``ping`` + ``metrics`` (+ ``stats`` with samples) on every
+    """Poll ``ping`` + ``metrics`` (+ ``stats``) on every
     address; returns one :class:`ShardScrape` per address, in order.
 
     Unreachable shards come back ``ok=False`` with the error recorded
@@ -97,7 +100,7 @@ def scrape_fleet(
                             "uptime_ticks", "cache_dir"):
                     scrape.ping.setdefault(key, response.get(key))
                 if include_stats:
-                    scrape.stats = client.call("stats", {"samples": True})
+                    scrape.stats = client.call("stats")
             scrape.ok = True
         except Exception as exc:  # noqa: BLE001 — partial fleets are fine
             scrape.error = f"{type(exc).__name__}: {exc}"
@@ -139,13 +142,13 @@ def check_scrape(scrapes: Sequence[ShardScrape],
 
     Checked per reachable shard:
 
-    * service-side tier split sums to the stats RPC totals —
+    * the stats RPC's view of the service hits matches the registry —
       ``repro_service_cache_hits_total{tier="memory"|"disk"}`` equals
       ``stats.service.memory_hits`` / ``disk_hits``;
     * cache-side tier split sums to the tier-blind lookup counter —
       ``repro_cache_hits_total{tier="memory"} + {tier="disk"}`` equals
       ``repro_cache_lookups_total{result="hit"}``;
-    * the deadline-shed counter agrees with the stats RPC —
+    * the view's deadline-shed count matches the registry —
       ``repro_service_shed_total`` equals ``stats.service.shed``.
 
     With ``client_metrics`` (a client-side registry snapshot, e.g. a
@@ -175,7 +178,7 @@ def check_scrape(scrapes: Sequence[ShardScrape],
                     and _approx_equal(disk, want_disk)):
                 problems.append(
                     f"{where}: metrics hit counters (memory={mem:g}, "
-                    f"disk={disk:g}) disagree with the stats RPC "
+                    f"disk={disk:g}) disagree with the stats RPC view "
                     f"(memory={want_mem}, disk={want_disk})"
                 )
         if service:
@@ -185,7 +188,7 @@ def check_scrape(scrapes: Sequence[ShardScrape],
             if not _approx_equal(shed, want_shed):
                 problems.append(
                     f"{where}: shed counter metric ({shed:g}) "
-                    f"disagrees with the stats RPC ({want_shed})"
+                    f"disagrees with the stats RPC view ({want_shed})"
                 )
         cache_mem = sample_value(metrics, "repro_cache_hits_total",
                                  {"tier": "memory"})
@@ -238,19 +241,7 @@ def _fmt_seconds(value: Optional[float]) -> str:
 
 
 def _percentiles(scrape: ShardScrape) -> tuple:
-    """(p50, p99) plan latency in seconds: prefer the stats RPC's
-    retained samples, fall back to the latency histogram."""
-    service = (scrape.stats or {}).get("service") or {}
-    samples = service.get("latency_samples_s")
-    if samples:
-        ordered = sorted(float(s) for s in samples)
-
-        def nearest(q: float) -> float:
-            rank = max(0, min(len(ordered) - 1,
-                              int(round(q / 100.0 * len(ordered))) - 1))
-            return ordered[rank]
-
-        return nearest(50), nearest(99)
+    """(p50, p99) plan latency in seconds from the latency histogram."""
     for metric in (scrape.metrics or {}).get("metrics", ()):
         if (metric.get("name") == "repro_service_latency_seconds"
                 and metric.get("type") == "histogram"):

@@ -6,9 +6,10 @@
   held-out validation window gating refits).
 * :mod:`repro.service.requests` — tickets, pending entries, admission
   errors, wire errors, and the remote-request lifecycle.
-* :mod:`repro.service.stats` — :class:`ServiceStats` telemetry (queue
-  depth, coalesce rate, latency percentiles) and :class:`RemoteStats`
-  (per-connection wire counters).
+* :mod:`repro.service.stats` — :func:`service_view`, the stats view of
+  the request metrics a :class:`PlanService` counts into its registry
+  (counters, queue depth, coalesce rate, latency percentiles), and
+  :class:`RemoteStats` (per-connection wire counters).
 * :mod:`repro.service.recal` — per-job recalibration windows + policy.
 * :mod:`repro.service.replica` — DP-replica clients and multi-job
   drivers (including the closed plan→execute→observe loop).
@@ -61,7 +62,7 @@ from repro.service.retry import (
 )
 from repro.service.rpc import PlanServiceServer
 from repro.service.service import PREWARM_PRIORITY, PlanService, RegisteredJob
-from repro.service.stats import ConnectionStats, RemoteStats, ServiceStats
+from repro.service.stats import ConnectionStats, RemoteStats, service_view
 
 __all__ = [
     "PlanService",
@@ -71,7 +72,7 @@ __all__ = [
     "submit_and_replay",
     "RegisteredJob",
     "PlanTicket",
-    "ServiceStats",
+    "service_view",
     "RemoteStats",
     "ConnectionStats",
     "ServiceOverloadError",

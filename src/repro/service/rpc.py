@@ -73,7 +73,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.plancache import encode_plan, plan_to_dict, signature_to_dict
 from repro.core.signature import SIGNATURE_VERSION
 from repro.data.batching import GlobalBatch, Microbatch
-from repro.obs.registry import MetricsRegistry
 from repro.service.requests import (
     REMOTE_PENDING,
     DeadlineExceededError,
@@ -84,7 +83,7 @@ from repro.service.requests import (
     ServiceOverloadError,
 )
 from repro.service.service import PlanService
-from repro.service.stats import ConnectionStats, RemoteStats
+from repro.service.stats import ConnectionStats, RemoteStats, counter_metric
 from repro.sim.costmodel import CostModel
 from repro.trace.events import Trace, TraceValidationError
 
@@ -403,11 +402,13 @@ class PlanServiceServer:
         self.fault_log = fault_log
         self.started_mono = time.monotonic()
         self.remote = RemoteStats()
-        #: Live + bridged metrics served by the ``metrics`` RPC.  The
-        #: wire-level series (frames, per-method latency) are observed
-        #: on the hot path; everything else is bridged from the existing
-        #: stats objects at snapshot time (see :meth:`_handle_metrics`).
-        self.metrics = MetricsRegistry()
+        #: The service's registry, served by the ``metrics`` RPC.  The
+        #: service's request series and the wire-level ones (frames,
+        #: per-method latency, deadline sheds) are counted live; cache
+        #: and connection totals are bridged in at snapshot time (see
+        #: :meth:`_handle_metrics`).
+        self.metrics = service.metrics
+        self._m_shed = self.metrics.counter(counter_metric("shed"))
         self._m_frames = self.metrics.counter(
             "repro_rpc_frames_total",
             "Wire frames by direction", labels=("direction",))
@@ -680,7 +681,7 @@ class PlanServiceServer:
                         # Shed before dispatch: the client has already
                         # given up, so queueing (or searching) for it
                         # only steals a worker from live requests.
-                        self.service.stats.count("shed")
+                        self._m_shed.inc()
                         raise DeadlineExceededError(
                             f"deadline passed before {method!r} could "
                             f"be dispatched (budget was {budget}s)")
@@ -840,7 +841,7 @@ class PlanServiceServer:
         if deadline_s is not None:
             remaining = deadline_s - time.monotonic()
             if remaining <= 0:
-                self.service.stats.count("shed")
+                self._m_shed.inc()
                 raise DeadlineExceededError(
                     "deadline passed before submit could enqueue")
             if submit_timeout is not None:
@@ -878,7 +879,7 @@ class PlanServiceServer:
             except TimeoutError as exc:
                 if (deadline_s is not None
                         and time.monotonic() >= deadline_s):
-                    self.service.stats.count("shed")
+                    self._m_shed.inc()
                     raise DeadlineExceededError(
                         "deadline passed while waiting for the plan "
                         "(the search may still complete for coalesced "
@@ -962,16 +963,12 @@ class PlanServiceServer:
 
     def _handle_stats(self, params: Dict, conn: ConnectionStats,
                       request_id, trace_ctx=None, deadline_s=None) -> Dict:
-        # params["samples"] additionally ships the retained latency/wait
-        # samples — a fleet aggregator merges percentiles from samples,
-        # not from per-shard percentiles.
         cache = self.service.cache
         cache_payload = dict(asdict(cache.stats), entries=len(cache))
         if cache.disk_tier is not None:
             cache_payload["disk"] = cache.disk_tier.snapshot()
         return {
-            "service": self.service.stats.snapshot(
-                include_samples=bool(params.get("samples"))),
+            "service": self.service.stats(),
             "cache": cache_payload,
             "remote": self.remote.snapshot(),
             "jobs": self.service.jobs,
@@ -982,13 +979,12 @@ class PlanServiceServer:
                         request_id, trace_ctx=None, deadline_s=None) -> Dict:
         """Snapshot every metric this server knows about.
 
-        Live wire-level series already sit in ``self.metrics``; the
-        planning/cache/remote subsystems keep counting in their own
-        stats objects and are bridged in with absolute values here, so
-        repeated scrapes never double-count.
+        Service and wire-level series are counted live in
+        ``self.metrics``; the cache and remote subsystems keep counting
+        in their own stats objects and are bridged in with absolute
+        values here, so repeated scrapes never double-count.
         """
         registry = self.metrics
-        self.service.stats.export_metrics(registry)
         if self.service.cache is not None:
             self.service.cache.export_metrics(registry)
         self.remote.export_metrics(registry)

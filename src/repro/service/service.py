@@ -55,6 +55,7 @@ from repro.core.plancache import DEFAULT_CACHE_SIZE, PlanCache, encode_plan
 from repro.core.planner import OnlinePlanner
 from repro.core.searcher import ScheduleSearcher, SearchResult
 from repro.data.batching import GlobalBatch
+from repro.obs.registry import MetricsRegistry
 from repro.service.recal import (
     JobRecalibrator,
     RecalibrationEvent,
@@ -70,7 +71,16 @@ from repro.service.requests import (
     ServiceClosedError,
     ServiceOverloadError,
 )
-from repro.service.stats import ServiceStats
+from repro.service.stats import (
+    COUNTERS,
+    HIT_TIERS,
+    HITS_METRIC,
+    LATENCY_METRIC,
+    MAX_QUEUE_DEPTH_METRIC,
+    QUEUE_DEPTH_METRIC,
+    counter_metric,
+    service_view,
+)
 from repro.sim.costmodel import CostModel
 from repro.trace.events import Trace
 
@@ -189,7 +199,31 @@ class PlanService:
         self.max_queue = max_queue
         self.coalesce = coalesce
         self.recalibration = recalibration
-        self.stats = ServiceStats()
+        #: The one store of the service's request telemetry (and of
+        #: the wire series when a server fronts it); read it through
+        #: :meth:`stats`.
+        self.metrics = MetricsRegistry()
+        self._counters = {
+            name: self.metrics.counter(counter_metric(name), text)
+            for name, text in COUNTERS.items()
+        }
+        self._m_hits = self.metrics.counter(
+            HITS_METRIC, "Requests served by an exact cache hit, by tier",
+            labels=("tier",))
+        self._m_queue_depth = self.metrics.gauge(
+            QUEUE_DEPTH_METRIC, "Pending leaders currently queued")
+        self._m_max_queue_depth = self.metrics.gauge(
+            MAX_QUEUE_DEPTH_METRIC, "High-water queued leaders", agg="max")
+        self._m_latency = self.metrics.histogram(
+            LATENCY_METRIC, "Submit-to-completion (total) and queue-wait "
+            "(queue) latency", labels=("stage",))
+        # Every series exists from the start, at zero.
+        for counter in self._counters.values():
+            counter.inc(0)
+        for tier in HIT_TIERS:
+            self._m_hits.inc(0, tier=tier)
+        self._m_queue_depth.set(0)
+        self._m_max_queue_depth.set(0)
         #: Optional :class:`repro.obs.tracing.RequestTracer` (set by the
         #: serving layer).  When a submitted request carries a trace
         #: context, the service emits queue-wait / cache-lookup /
@@ -244,11 +278,11 @@ class PlanService:
         for entry in abandoned:
             entry.ticket.fail(
                 ServiceClosedError("service closed before planning"))
-            self.stats.count("failed")
+            self._counters["failed"].inc()
             for ticket, _job, _prep in entry.waiters:
                 ticket.fail(
                     ServiceClosedError("service closed before planning"))
-                self.stats.count("failed")
+                self._counters["failed"].inc()
         if wait:
             for worker in self._workers:
                 worker.join(timeout=30.0)
@@ -377,7 +411,7 @@ class PlanService:
             prepared = job.planner.prepare(batch)
         ticket.prepared = prepared
         ticket.enqueued_s = time.monotonic()
-        self.stats.count("submitted")
+        self._counters["submitted"].inc()
         # From here on the digest is the one this service computed.
         digest = (prepared.signature.digest
                   if prepared.signature is not None else None)
@@ -410,7 +444,7 @@ class PlanService:
                 if self._queued < self.max_queue:
                     break
                 if not block:
-                    self.stats.count("rejected")
+                    self._counters["rejected"].inc()
                     raise ServiceOverloadError(
                         f"plan queue full ({self.max_queue} pending)"
                     )
@@ -418,7 +452,7 @@ class PlanService:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        self.stats.count("rejected")
+                        self._counters["rejected"].inc()
                         raise ServiceOverloadError(
                             f"no queue space within {timeout}s"
                         )
@@ -437,7 +471,7 @@ class PlanService:
             self._queued += 1
             if digest is not None and self.coalesce:
                 self._pending[digest] = entry
-            self.stats.queue_changed(self._queued)
+            self._queue_changed()
             self._not_empty.notify()
         return ticket
 
@@ -469,10 +503,9 @@ class PlanService:
                 return False
             ticket.enqueued_s = ticket.started_s = probe_s
             ticket.hit = hit
-            self.stats.count("submitted")
-            self.stats.count("replays")
-            self.stats.count("disk_hits" if hit.tier == "disk"
-                             else "memory_hits")
+            self._counters["submitted"].inc()
+            self._counters["replays"].inc()
+            self._m_hits.inc(tier="disk" if hit.tier == "disk" else "memory")
             self._emit_leader_spans(ticket, OUTCOME_HIT,
                                     lookup_s=hit.elapsed_s, tier=hit.tier)
             self._deliver(ticket, None, OUTCOME_HIT)
@@ -501,7 +534,7 @@ class PlanService:
             )
         except ServiceOverloadError:
             return None
-        self.stats.count("prewarms")
+        self._counters["prewarms"].inc()
         return ticket
 
     # -- worker side ---------------------------------------------------------
@@ -526,7 +559,7 @@ class PlanService:
             _key, entry = heapq.heappop(self._heap)
             entry.taken = True
             self._queued -= 1
-            self.stats.queue_changed(self._queued)
+            self._queue_changed()
             self._not_full.notify()
             return entry
 
@@ -558,27 +591,27 @@ class PlanService:
             except BaseException as exc:  # noqa: BLE001 — fail the tickets
                 self._retire(entry)
                 entry.ticket.fail(exc)
-                self.stats.count("failed")
+                self._counters["failed"].inc()
                 for ticket, _wjob, _wprep in entry.waiters:
                     # Fresh instance per ticket: each client thread
                     # re-raises its own, so concurrent raises don't
                     # fight over one shared __traceback__.
                     ticket.fail(RuntimeError(
                         f"coalesced leader search failed: {exc!r}"))
-                    self.stats.count("failed")
+                    self._counters["failed"].inc()
                 return
             # Retire the pending entry *before* fan-out: requests
             # submitted from here on start a fresh leader, which replays
             # from the now-populated cache in one simulation anyway.
             self._retire(entry)
             outcome = OUTCOME_HIT if result.cache_hit else OUTCOME_SEARCH
-            self.stats.count("replays" if result.cache_hit else "searches")
+            self._counters["replays" if result.cache_hit
+                           else "searches"].inc()
             if result.cache_hit:
                 # Tier breakdown of exact hits (tier-parity invariant:
                 # only this label may differ between memory and disk).
-                self.stats.count("disk_hits"
-                                 if result.cache_tier == "disk"
-                                 else "memory_hits")
+                self._m_hits.inc(tier="disk" if result.cache_tier == "disk"
+                                 else "memory")
             # Spans are recorded *before* the ticket completes: delivery
             # unblocks the remote submit handler, and the client must be
             # able to read a fully written trace the moment its RPC
@@ -618,8 +651,8 @@ class PlanService:
         for ticket in tickets:
             ticket.fail(DeadlineExceededError(
                 "deadline passed while queued — search shed"))
-            self.stats.count("shed")
-            self.stats.count("failed")
+            self._counters["shed"].inc()
+            self._counters["failed"].inc()
         return True
 
     def _retire(self, entry: PendingPlan) -> None:
@@ -630,10 +663,20 @@ class PlanService:
     def _deliver(self, ticket: PlanTicket, result: Optional[SearchResult],
                  outcome: str) -> None:
         ticket.complete(result, outcome)
-        self.stats.count("completed")
+        self._counters["completed"].inc()
         if outcome == OUTCOME_COALESCED:
-            self.stats.count("coalesced")
-        self.stats.record_latency(ticket.latency_s, ticket.queue_wait_s)
+            self._counters["coalesced"].inc()
+        if ticket.latency_s is not None:
+            self._m_latency.observe(ticket.latency_s, stage="total")
+        if ticket.queue_wait_s is not None:
+            self._m_latency.observe(ticket.queue_wait_s, stage="queue")
+
+    def _queue_changed(self) -> None:
+        """Publish the queue depth and its high-water mark (caller
+        holds ``_mutex``, so the read-then-raise cannot race)."""
+        self._m_queue_depth.set(self._queued)
+        if self._queued > self._m_max_queue_depth.value():
+            self._m_max_queue_depth.set(self._queued)
 
     def _fan_out(self, entry: PendingPlan, result: SearchResult) -> None:
         """Replay the leader's plan onto every coalesced waiter's graph.
@@ -654,9 +697,9 @@ class PlanService:
                 )
             except BaseException as exc:  # noqa: BLE001
                 ticket.fail(exc)
-                self.stats.count("failed")
+                self._counters["failed"].inc()
                 continue
-            self.stats.count("replays")
+            self._counters["replays"].inc()
             self._emit_waiter_spans(ticket)
             self._deliver(ticket, replayed, OUTCOME_COALESCED)
 
@@ -762,7 +805,7 @@ class PlanService:
         A candidate model that clears ``min_improvement`` on its own fit
         window but scores *worse* than the current model on the held-out
         observations is rolled back (``event.rolled_back``,
-        ``stats.recal_rollbacks``) — an overfit to noisy spans must not
+        ``recal_rollbacks``) — an overfit to noisy spans must not
         degrade future plans.
         """
         from repro.trace.recalibrate import (
@@ -801,7 +844,7 @@ class PlanService:
                     job.device, job.specs, tp=job.parallel.tp)
                 if event.holdout_error_after > event.holdout_error_before:
                     event.rolled_back = True
-                    self.stats.count("recal_rollbacks")
+                    self._counters["recal_rollbacks"].inc()
                     recal.events.append(event)
                     return event
             with job.lock:
@@ -818,8 +861,8 @@ class PlanService:
             event.invalidated = self.cache.invalidate_contexts(stale)
             event.applied = True
             event.old_model = old_model
-            self.stats.count("recalibrations")
-            self.stats.count("invalidated", event.invalidated)
+            self._counters["recalibrations"].inc()
+            self._counters["invalidated"].inc(event.invalidated)
         recal.events.append(event)
         return event
 
@@ -830,8 +873,22 @@ class PlanService:
         with self._mutex:
             return self._queued
 
+    def stats(self) -> Dict:
+        """Request counters, queue gauges, coalesce rate and latency
+        percentiles: :func:`~repro.service.stats.service_view` of
+        :attr:`metrics`."""
+        return service_view(self.metrics.snapshot())
+
     def describe(self) -> str:
+        snap = self.stats()
         return (
-            f"plan service: {self.stats.describe()}; "
+            f"plan service: {snap['completed']} plans "
+            f"({snap['searches']} searches, {snap['replays']} replays, "
+            f"{snap['coalesced']} coalesced = "
+            f"{snap['coalesce_rate'] * 100:.0f}%), "
+            f"{snap['rejected']} rejected, "
+            f"queue peak {snap['max_queue_depth']}, "
+            f"latency p50 {snap['plan_latency_p50_s'] * 1e3:.0f}ms "
+            f"p99 {snap['plan_latency_p99_s'] * 1e3:.0f}ms; "
             f"cache: {self.cache.stats.describe()}"
         )

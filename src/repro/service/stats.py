@@ -1,255 +1,89 @@
-"""Service telemetry: queue pressure, coalescing, latency percentiles.
+"""Service telemetry: the request metrics' names and their stats view.
 
-All counters are updated under one lock by the service; ``snapshot()``
-returns a JSON-serialisable dict for benchmarks and the CLI.
+:class:`~repro.service.service.PlanService` counts straight into its
+:class:`~repro.obs.registry.MetricsRegistry` (``service.metrics``);
+:func:`service_view` turns a snapshot of that registry — or a
+:func:`~repro.obs.registry.merge_snapshots` fold of several shards' —
+into the flat dict the ``stats`` RPC, the CLI and the fleet aggregator
+print.  :class:`RemoteStats` keeps the socket server's wire counters.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict
 
-#: Trailing completed requests the latency percentiles are computed
-#: over — a long-lived service must not accumulate one float per
-#: request forever.
-LATENCY_WINDOW = 4096
+from repro.obs.registry import histogram_quantile
+
+#: Request counters, in view order, each exported as
+#: ``repro_service_<name>_total``.  Exact cache hits are the one
+#: tier-labelled :data:`HITS_METRIC` instead (viewed as ``memory_hits``
+#: / ``disk_hits``).
+COUNTERS = {
+    "submitted": "Requests accepted for planning",
+    "rejected": "Requests refused by admission control",
+    "completed": "Requests answered with a plan",
+    "failed": "Requests that ended in an error (shed ones included)",
+    "shed": "Requests failed because their deadline passed first",
+    "coalesced": "Requests served by a concurrent identical request",
+    "searches": "Schedule searches run (cold or warm)",
+    "replays": "Plans served by replay (exact hits + fan-outs)",
+    "prewarms": "Background warm-search requests accepted",
+    "recalibrations": "Cost-model refits applied",
+    "recal_rollbacks": "Refits rolled back on held-out error",
+    "invalidated": "Cache entries dropped by recalibration",
+}
+
+HITS_METRIC = "repro_service_cache_hits_total"
+HIT_TIERS = ("memory", "disk")
+QUEUE_DEPTH_METRIC = "repro_service_queue_depth"
+MAX_QUEUE_DEPTH_METRIC = "repro_service_max_queue_depth"
+#: Latency histogram, ``stage="total"`` (submit to completion) and
+#: ``stage="queue"`` (queue wait).
+LATENCY_METRIC = "repro_service_latency_seconds"
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 on empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(q / 100.0 * (len(ordered) - 1)))))
-    return ordered[rank]
+def counter_metric(name: str) -> str:
+    return f"repro_service_{name}_total"
 
 
-class ServiceStats:
-    """Aggregate planning-service telemetry.
+def service_view(snapshot: Dict) -> Dict:
+    """The service's stats, read from one registry snapshot.
 
-    Counters:
-        submitted / rejected / completed / failed: request lifecycle.
-        shed: requests failed because their propagated deadline passed
-            before a worker could (or finished) serving them — counted
-            *in addition to* ``failed`` (shed work is a failure mode,
-            not a parallel lifecycle).
-        coalesced: requests served by fan-out from a concurrent
-            identical request (no queue slot, no search of their own).
-        searches: schedule searches actually run (cold or warm).
-        replays: plans served by cache replay (exact hits + fan-outs).
-        memory_hits / disk_hits: exact cache hits broken down by the
-            tier that served them (fan-out replays to coalesced waiters
-            count under neither — they are accounted as ``coalesced``).
-        prewarms: background warm-search requests accepted.
-        recalibrations: cost-model refits applied.
-        recal_rollbacks: refits that cleared the fit-window improvement
-            bar but worsened held-out error and were rolled back.
-        invalidated: cache entries dropped by recalibration.
-
-    Gauges:
-        queue_depth / max_queue_depth: current and high-water pending
-            leaders (coalesced waiters never occupy a slot).
-
-    Latency percentiles cover the trailing ``LATENCY_WINDOW`` completed
-    requests (bounded memory for long-lived services).
+    ``snapshot`` is one service's registry snapshot or a
+    :func:`~repro.obs.registry.merge_snapshots` fold of several (without
+    extra labels).  Counters and queue gauges come back as ints;
+    ``plan_latency_*`` / ``queue_wait_*`` percentiles are histogram
+    bucket bounds over the service's lifetime (``inf`` above the last
+    bucket), ``0.0`` for an empty histogram.
     """
+    metrics = {m["name"]: m for m in snapshot.get("metrics", ())}
 
-    #: Additive counters, in snapshot order.  ``queue_depth`` /
-    #: ``max_queue_depth`` are gauges and handled separately by
-    #: :meth:`merge`.
-    COUNTERS = (
-        "submitted", "rejected", "completed", "failed", "shed",
-        "coalesced", "searches", "replays", "memory_hits", "disk_hits",
-        "prewarms", "recalibrations", "recal_rollbacks", "invalidated",
-    )
+    def value(name: str, **labels: str) -> int:
+        metric = metrics.get(name)
+        if metric is None:
+            return 0
+        values = [s["value"] for s in metric["series"]
+                  if all(s["labels"].get(k) == v
+                         for k, v in labels.items())]
+        if metric.get("agg") == "max":
+            return int(max(values, default=0))
+        return int(sum(values))
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for name in self.COUNTERS:
-            setattr(self, name, 0)
-        self.queue_depth = 0
-        self.max_queue_depth = 0
-        self._latencies_s: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
-        self._waits_s: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
-
-    # -- updates (service side) ----------------------------------------------
-
-    def count(self, counter: str, delta: int = 1) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + delta)
-
-    def queue_changed(self, depth: int) -> None:
-        with self._lock:
-            self.queue_depth = depth
-            self.max_queue_depth = max(self.max_queue_depth, depth)
-
-    def record_latency(self, latency_s: Optional[float],
-                       wait_s: Optional[float]) -> None:
-        with self._lock:
-            if latency_s is not None:
-                self._latencies_s.append(latency_s)
-            if wait_s is not None:
-                self._waits_s.append(wait_s)
-
-    # -- reads ---------------------------------------------------------------
-
-    @property
-    def coalesce_rate(self) -> float:
-        """Fraction of completed requests served by coalescing."""
-        if self.completed == 0:
-            return 0.0
-        return self.coalesced / self.completed
-
-    @property
-    def search_rate(self) -> float:
-        """Fraction of completed requests that needed their own search."""
-        if self.completed == 0:
-            return 0.0
-        return self.searches / self.completed
-
-    def latency_percentile_s(self, q: float) -> float:
-        with self._lock:
-            return percentile(self._latencies_s, q)
-
-    def wait_percentile_s(self, q: float) -> float:
-        with self._lock:
-            return percentile(self._waits_s, q)
-
-    def snapshot(self, include_samples: bool = False) -> Dict:
-        """JSON-serialisable counters + derived rates.
-
-        ``include_samples=True`` additionally exports the retained
-        latency/wait samples (``latency_samples_s`` / ``wait_samples_s``)
-        so a fleet aggregator can merge percentiles across shards
-        instead of averaging pre-computed ones (see :meth:`merge`).
-        """
-        with self._lock:
-            latencies = list(self._latencies_s)
-            waits = list(self._waits_s)
-            counters = {
-                name: getattr(self, name)
-                for name in self.COUNTERS + ("queue_depth",
-                                             "max_queue_depth")
-            }
-        counters["coalesce_rate"] = (
-            counters["coalesced"] / counters["completed"]
-            if counters["completed"] else 0.0
-        )
-        counters["plan_latency_p50_s"] = percentile(latencies, 50)
-        counters["plan_latency_p99_s"] = percentile(latencies, 99)
-        counters["queue_wait_p50_s"] = percentile(waits, 50)
-        counters["queue_wait_p99_s"] = percentile(waits, 99)
-        if include_samples:
-            counters["latency_samples_s"] = latencies
-            counters["wait_samples_s"] = waits
-        return counters
-
-    # -- fleet aggregation ---------------------------------------------------
-
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict) -> "ServiceStats":
-        """Rebuild stats from a :meth:`snapshot` dict (e.g. one received
-        over the stats RPC).  Derived rates are ignored — they are
-        recomputed; samples are restored when the snapshot carried them."""
-        stats = cls()
-        for name in cls.COUNTERS + ("queue_depth", "max_queue_depth"):
-            value = snapshot.get(name, 0)
-            if isinstance(value, (int, float)):
-                setattr(stats, name, int(value))
-        for sample in snapshot.get("latency_samples_s", ()) or ():
-            stats._latencies_s.append(float(sample))
-        for sample in snapshot.get("wait_samples_s", ()) or ():
-            stats._waits_s.append(float(sample))
-        return stats
-
-    @classmethod
-    def merge(cls, parts: Iterable["ServiceStats"]) -> "ServiceStats":
-        """Combine per-shard stats into one fleet-wide view.
-
-        Counters sum; queue gauges combine as current-sum / peak-max
-        (shard queues are independent, so the fleet's high-water mark is
-        conservatively the worst single shard's).  Latency percentiles
-        are recomputed from the union of the shards' retained sample
-        windows — merging samples, not percentiles, because the p99 of
-        per-shard p99s is not the fleet p99.  The merged window is still
-        bounded (``LATENCY_WINDOW``): with many shards the newest
-        samples win, mirroring each shard's own trailing window.
-        """
-        merged = cls()
-        for part in parts:
-            with part._lock:
-                counters = {name: getattr(part, name)
-                            for name in cls.COUNTERS}
-                queue_depth = part.queue_depth
-                max_queue_depth = part.max_queue_depth
-                latencies = list(part._latencies_s)
-                waits = list(part._waits_s)
-            for name, value in counters.items():
-                setattr(merged, name, getattr(merged, name) + value)
-            merged.queue_depth += queue_depth
-            merged.max_queue_depth = max(merged.max_queue_depth,
-                                         max_queue_depth)
-            merged._latencies_s.extend(latencies)
-            merged._waits_s.extend(waits)
-        return merged
-
-    def export_metrics(self, registry) -> None:
-        """Bridge the service counters into a metrics registry.
-
-        Absolute values via ``set_value`` (idempotent across repeated
-        ``metrics`` RPCs).  The tier-labelled
-        ``repro_service_cache_hits_total`` series mirror
-        ``memory_hits``/``disk_hits`` exactly — the scrape checker
-        asserts their sum equals what the ``stats`` RPC reports.
-        Latency histograms are rebuilt from the retained sample windows
-        so fleet merges aggregate distributions, not percentiles.
-        """
-        with self._lock:
-            counters = {name: getattr(self, name) for name in self.COUNTERS}
-            queue_depth = self.queue_depth
-            max_queue_depth = self.max_queue_depth
-            latencies = list(self._latencies_s)
-            waits = list(self._waits_s)
-        hits = registry.counter(
-            "repro_service_cache_hits_total",
-            "Requests served by an exact cache hit, by serving tier",
-            labels=("tier",))
-        hits.set_value(counters["memory_hits"], tier="memory")
-        hits.set_value(counters["disk_hits"], tier="disk")
-        for name, value in counters.items():
-            registry.counter(
-                f"repro_service_{name}_total",
-                f"ServiceStats counter {name!r}",
-            ).set_value(value)
-        registry.gauge(
-            "repro_service_queue_depth",
-            "Pending leaders currently queued",
-        ).set(queue_depth)
-        registry.gauge(
-            "repro_service_max_queue_depth",
-            "High-water queued leaders", agg="max",
-        ).set(max_queue_depth)
-        latency = registry.histogram(
-            "repro_service_latency_seconds",
-            "Submit-to-completion latency over the retained window",
-            labels=("stage",))
-        latency.set_from_values(latencies, stage="total")
-        latency.set_from_values(waits, stage="queue")
-
-    def describe(self) -> str:
-        snap = self.snapshot()
-        return (
-            f"{snap['completed']} plans "
-            f"({snap['searches']} searches, {snap['replays']} replays, "
-            f"{snap['coalesced']} coalesced = "
-            f"{snap['coalesce_rate'] * 100:.0f}%), "
-            f"{snap['rejected']} rejected, "
-            f"queue peak {snap['max_queue_depth']}, "
-            f"latency p50 {snap['plan_latency_p50_s'] * 1e3:.0f}ms "
-            f"p99 {snap['plan_latency_p99_s'] * 1e3:.0f}ms"
-        )
+    view = {name: value(counter_metric(name)) for name in COUNTERS}
+    for tier in HIT_TIERS:
+        view[f"{tier}_hits"] = value(HITS_METRIC, tier=tier)
+    view["queue_depth"] = value(QUEUE_DEPTH_METRIC)
+    view["max_queue_depth"] = value(MAX_QUEUE_DEPTH_METRIC)
+    view["coalesce_rate"] = (view["coalesced"] / view["completed"]
+                             if view["completed"] else 0.0)
+    latency = metrics.get(LATENCY_METRIC, {})
+    for key, stage in (("plan_latency", "total"), ("queue_wait", "queue")):
+        for q in (50, 99):
+            quantile = histogram_quantile(latency, q / 100.0,
+                                          {"stage": stage})
+            view[f"{key}_p{q}_s"] = 0.0 if quantile is None else quantile
+    return view
 
 
 class ConnectionStats:
@@ -281,8 +115,8 @@ class ConnectionStats:
 class RemoteStats:
     """Aggregate + per-connection telemetry of the socket server.
 
-    Separate from :class:`ServiceStats` on purpose: the planning
-    counters describe *requests* regardless of transport, these describe
+    Separate from the service's request metrics on purpose: those
+    describe *requests* regardless of transport, these describe
     the *wire* — connections opened and reaped, frames that failed to
     parse, clients that vanished mid-request.  Per-connection counters
     live here until the connection is reaped, then fold into the

@@ -6,6 +6,8 @@ plain MLPs, cross-attention) at a fraction of the real models' size.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cluster.devices import GPU_H800_80G
@@ -16,6 +18,14 @@ from repro.core.planner import reference_microbatch
 from repro.data.workload import t2v_workload, vlm_workload
 from repro.models.config import Modality, ModalityModuleSpec, ModuleRole
 from repro.models.lmm import build_t2v, build_unimodal, build_vlm
+from repro.service import PlanService
+from repro.service.stats import (
+    HITS_METRIC,
+    LATENCY_METRIC,
+    MAX_QUEUE_DEPTH_METRIC,
+    QUEUE_DEPTH_METRIC,
+    counter_metric,
+)
 from repro.sim.costmodel import CostModel
 
 TINY_VIT = ModalityModuleSpec(
@@ -126,3 +136,32 @@ def t2v_graph(tiny_t2v, small_cluster, parallel2, cost_model):
         tiny_t2v, plan, batch, small_cluster, parallel2, cost_model,
         partitioner=partitioner,
     )
+
+
+@pytest.fixture
+def service_snapshot():
+    """Factory for one shard's registry snapshot as a stats RPC caller
+    receives it (JSON round trip): a fresh :class:`PlanService`'s
+    metrics after ``counts`` (view name -> increment, ``memory_hits`` /
+    ``disk_hits`` included), observed ``latencies`` / ``waits`` and the
+    given queue gauges."""
+    def make(latencies=(), waits=(), queue_depth=0, max_queue_depth=0,
+             **counts):
+        service = PlanService(num_workers=0)
+        metrics = service.metrics
+        for name, delta in counts.items():
+            if name.endswith("_hits"):
+                metrics.counter(HITS_METRIC, labels=("tier",)).inc(
+                    delta, tier=name[:-len("_hits")])
+            else:
+                metrics.counter(counter_metric(name)).inc(delta)
+        metrics.gauge(QUEUE_DEPTH_METRIC).set(queue_depth)
+        metrics.gauge(MAX_QUEUE_DEPTH_METRIC).set(max_queue_depth)
+        latency = metrics.histogram(LATENCY_METRIC, labels=("stage",))
+        for value in latencies:
+            latency.observe(value, stage="total")
+        for value in waits:
+            latency.observe(value, stage="queue")
+        service.close()
+        return json.loads(json.dumps(metrics.snapshot()))
+    return make

@@ -2,8 +2,9 @@
 
 * **Ring** — deterministic, balanced consistent hashing; preference
   order is the fleet-wide failover contract.
-* **Stats merging** — :meth:`ServiceStats.merge` sums counters and
-  recomputes percentiles from the union of sample windows.
+* **Stats merging** — shards' registry snapshots fold with
+  :func:`merge_snapshots` and read through :func:`service_view`:
+  counters sum, histograms add, percentiles ignore shard order.
 * **Connection lifecycle** — :class:`ServiceConnection` handshakes,
   reconnects, and closes exactly once; ``PlanServiceClient.close`` is
   idempotent.
@@ -36,6 +37,7 @@ from repro.fleet import (
     fleet_stats,
 )
 from repro.fleet.ring import ring_point
+from repro.obs.registry import merge_snapshots
 from repro.service import (
     PlanService,
     PlanServiceClient,
@@ -43,7 +45,7 @@ from repro.service import (
     ServiceClosedError,
     ServiceConnection,
 )
-from repro.service.stats import LATENCY_WINDOW, ServiceStats
+from repro.service.stats import service_view
 
 
 def controlled_batch(image_counts, start_index=0):
@@ -112,58 +114,57 @@ class TestHashRing:
             HashRing(["a", "a"])
 
 
+def merged_view(*snapshots):
+    return service_view(merge_snapshots(list(snapshots)))
+
+
 class TestStatsMerge:
-    def _stats(self, submitted, latencies=()):
-        stats = ServiceStats()
-        stats.count("submitted", submitted)
-        stats.count("searches", 1)
-        for latency in latencies:
-            stats.record_latency(latency, 0.0)
-        return stats
+    def test_counters_sum(self, service_snapshot):
+        merged = merged_view(service_snapshot(submitted=3, searches=1),
+                             service_snapshot(submitted=5, searches=1))
+        assert merged["submitted"] == 8
+        assert merged["searches"] == 2
+        assert isinstance(merged["submitted"], int)
 
-    def test_counters_sum(self):
-        merged = ServiceStats.merge([self._stats(3), self._stats(5)])
-        assert merged.submitted == 8
-        assert merged.searches == 2
+    def test_max_queue_depth_is_max(self, service_snapshot):
+        merged = merged_view(
+            service_snapshot(queue_depth=3, max_queue_depth=3),
+            service_snapshot(queue_depth=0, max_queue_depth=7))
+        assert merged["max_queue_depth"] == 7
+        assert merged["queue_depth"] == 3  # 3 + 0
 
-    def test_max_queue_depth_is_max(self):
-        a, b = ServiceStats(), ServiceStats()
-        a.queue_changed(3)
-        b.queue_changed(7)
-        b.queue_changed(0)
-        merged = ServiceStats.merge([a, b])
-        assert merged.max_queue_depth == 7
-        assert merged.queue_depth == 3  # 3 + 0
+    def test_percentiles_from_union_of_samples(self, service_snapshot):
+        merged = merged_view(
+            service_snapshot(submitted=1, latencies=[0.1] * 10),
+            service_snapshot(submitted=1, latencies=[0.9] * 10))
+        # Bucket upper bounds of the merged histogram: half the requests
+        # sit in the 0.1 s bucket, the tail in the 1 s one.
+        assert merged["plan_latency_p50_s"] == 0.1
+        assert merged["plan_latency_p99_s"] == 1.0
 
-    def test_percentiles_from_union_of_samples(self):
-        a = self._stats(1, latencies=[0.1] * 10)
-        b = self._stats(1, latencies=[0.9] * 10)
-        merged = ServiceStats.merge([a, b])
-        assert merged.latency_percentile_s(50) == pytest.approx(0.5, abs=0.41)
-        assert merged.latency_percentile_s(99) == pytest.approx(0.9, abs=0.01)
+    def test_percentiles_independent_of_shard_order(self, service_snapshot):
+        shards = [service_snapshot(completed=4096, latencies=[v] * 4096)
+                  for v in (0.001, 0.002, 9.0)]
+        forward = merged_view(*shards)
+        backward = merged_view(*reversed(shards))
+        for key in ("plan_latency_p50_s", "plan_latency_p99_s"):
+            assert forward[key] == backward[key]
+        assert forward["plan_latency_p50_s"] == 0.0025
+        assert forward["plan_latency_p99_s"] == 10.0
 
     def test_empty_merge(self):
-        merged = ServiceStats.merge([])
-        assert merged.submitted == 0
+        merged = merged_view()
+        assert merged["submitted"] == 0
+        assert merged["plan_latency_p50_s"] == 0.0
+        assert merged["plan_latency_p99_s"] == 0.0
 
-    def test_merge_window_stays_bounded(self):
-        parts = [self._stats(1, latencies=[0.1] * LATENCY_WINDOW)
-                 for _ in range(3)]
-        merged = ServiceStats.merge(parts)
-        assert len(merged._latencies_s) == LATENCY_WINDOW
-
-    def test_snapshot_round_trip_with_samples(self):
-        stats = self._stats(4, latencies=[0.2, 0.4])
-        clone = ServiceStats.from_snapshot(stats.snapshot(
-            include_samples=True))
-        for name in ServiceStats.COUNTERS:
-            assert getattr(clone, name) == getattr(stats, name)
-        assert clone.latency_percentile_s(50) == \
-            stats.latency_percentile_s(50)
-
-    def test_plain_snapshot_ships_no_samples(self):
-        snap = self._stats(1, latencies=[0.2]).snapshot()
-        assert "latency_samples_s" not in snap
+    def test_snapshot_round_trip_with_samples(self, service_snapshot):
+        # A single shard's registry, through JSON and a one-part merge,
+        # views exactly like the shard itself.
+        snapshot = service_snapshot(submitted=4, searches=1,
+                                    latencies=[0.2, 0.4], waits=[0.01])
+        assert merged_view(snapshot) == service_view(snapshot)
+        assert service_view(snapshot)["plan_latency_p99_s"] == 0.5
 
 
 @pytest.fixture

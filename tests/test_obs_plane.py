@@ -1,7 +1,7 @@
 """The fleet telemetry plane (src/repro/obs/).
 
 * **Registry** — labelled counters/gauges/histograms, strict label
-  validation, idempotent bridging (``set_value`` / ``set_from_values``),
+  validation, idempotent bridging (``set_value``), exact integer counts,
   label-wise snapshot merging with per-shard extra labels.
 * **Exposition** — Prometheus text rendering round-trips through the
   parser; malformed lines fail with line numbers; tier-split series sum
@@ -9,8 +9,9 @@
 * **Tracing** — client and shard spans share one wall-clock timeline;
   the merged Chrome trace validates and carries cross-process flow
   arrows per trace id.
-* **Stats merge edge cases** — empty windows, single-shard identity,
-  overflow-free summation across many snapshots.
+* **Stats merge edge cases** — the service's registry snapshots through
+  ``merge_snapshots`` and the stats view: empty histograms,
+  single-shard identity, exact integer summation across many snapshots.
 * **End to end** — one traced request through a 2-shard fleet produces
   a merged timeline (client submit + shard queue/lookup/search spans
   under one trace id) and metrics that agree with the stats RPC.
@@ -48,7 +49,7 @@ from repro.obs.scrape import (
 )
 from repro.obs.tracing import spans_for_trace
 from repro.service import PlanService, PlanServiceClient, PlanServiceServer
-from repro.service.stats import ServiceStats
+from repro.service.stats import service_view
 from repro.trace.export import validate_chrome_trace
 
 
@@ -160,16 +161,6 @@ class TestRegistry:
         assert series["sum"] == pytest.approx(6.05)
         assert histogram_quantile(metric, 0.5) == 1.0
         assert histogram_quantile(metric, 0.99) == 10.0
-
-    def test_histogram_set_from_values_rebuilds(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("w", buckets=(1.0,), labels=("stage",))
-        h.set_from_values([0.5, 2.0], stage="queue")
-        h.set_from_values([0.5, 2.0], stage="queue")  # idempotent
-        (metric,) = reg.snapshot()["metrics"]
-        (series,) = metric["series"]
-        assert series["counts"] == [1, 1]
-        assert series["count"] == 2
 
     def test_merge_snapshots_with_shard_labels(self):
         snaps = []
@@ -319,59 +310,55 @@ class TestTracing:
         assert validate_chrome_trace(merged) == []
 
 
-# -- ServiceStats.merge edge cases -------------------------------------------
+# -- stats merge edge cases -------------------------------------------------
+
+
+def merged_view(snapshots):
+    return service_view(merge_snapshots(snapshots))
 
 
 class TestStatsMergeEdgeCases:
-    def test_empty_sample_windows(self):
-        # Merging stats that never recorded a latency must not divide
+    def test_empty_sample_windows(self, service_snapshot):
+        # Merging shards that never observed a latency must not divide
         # by zero or invent percentiles.
-        a, b = ServiceStats(), ServiceStats()
-        a.count("submitted", 2)
-        merged = ServiceStats.merge([a, b])
-        snap = merged.snapshot()
-        assert snap["submitted"] == 2
-        assert snap["plan_latency_p50_s"] == 0.0
-        assert snap["plan_latency_p99_s"] == 0.0
+        view = merged_view([service_snapshot(submitted=2),
+                            service_snapshot()])
+        assert view["submitted"] == 2
+        assert view["coalesce_rate"] == 0.0
+        assert view["plan_latency_p50_s"] == 0.0
+        assert view["plan_latency_p99_s"] == 0.0
 
     def test_merge_of_nothing_is_zero(self):
-        snap = ServiceStats.merge([]).snapshot()
-        assert snap["submitted"] == 0
-        assert snap["queue_depth"] == 0
+        view = merged_view([])
+        assert view["submitted"] == 0
+        assert view["queue_depth"] == 0
 
-    def test_single_shard_merge_is_identity(self):
-        one = ServiceStats()
-        one.count("submitted", 5)
-        one.count("searches", 2)
-        one.count("memory_hits", 3)
-        one.queue_changed(4)
-        one.record_latency(0.25, 0.1)
-        merged = ServiceStats.merge([one])
-        left, right = one.snapshot(True), merged.snapshot(True)
-        assert left == right
+    def test_single_shard_merge_is_identity(self, service_snapshot):
+        one = service_snapshot(submitted=5, searches=2, memory_hits=3,
+                               queue_depth=4, max_queue_depth=4,
+                               latencies=[0.25], waits=[0.1])
+        assert merge_snapshots([one]) == one
+        assert merged_view([one]) == service_view(one)
 
-    def test_overflow_free_summation_across_many_snapshots(self):
+    def test_overflow_free_summation_across_many_snapshots(
+            self, service_snapshot):
         # Python ints don't wrap, but the merge path must also not
         # truncate through float round-trips: 2**53 + small deltas is
         # exactly where doubles start eating increments.
         big = 2 ** 53
-        parts = []
-        for i in range(9):
-            s = ServiceStats()
-            s.count("submitted", big + i)
-            s.count("completed", 1)
-            parts.append(ServiceStats.from_snapshot(s.snapshot()))
-        merged = ServiceStats.merge(parts)
-        assert merged.submitted == 9 * big + sum(range(9))
-        assert merged.completed == 9
+        parts = [service_snapshot(submitted=big + i, completed=1)
+                 for i in range(9)]
+        merged = merge_snapshots(parts)
+        exact = 9 * big + sum(range(9))
+        assert sample_value(merged, "repro_service_submitted_total") == exact
+        view = service_view(merged)
+        assert view["submitted"] == exact
+        assert view["completed"] == 9
 
-    def test_merge_samples_union(self):
-        a, b = ServiceStats(), ServiceStats()
-        for v in (0.1, 0.2):
-            a.record_latency(v, 0.0)
-        b.record_latency(9.0, 0.0)
-        merged = ServiceStats.merge([a, b])
-        assert merged.latency_percentile_s(99) == 9.0
+    def test_merge_samples_union(self, service_snapshot):
+        view = merged_view([service_snapshot(latencies=[0.1, 0.2]),
+                            service_snapshot(latencies=[9.0])])
+        assert view["plan_latency_p99_s"] == 10.0  # 9 s's bucket bound
 
 
 # -- server identity + enriched failover -------------------------------------

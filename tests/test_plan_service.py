@@ -26,7 +26,6 @@ from repro.service import (
     observed_execution,
     run_recalibrating_replica,
 )
-from repro.service.stats import percentile
 from repro.sim.reference import ReferenceCostModel
 
 
@@ -75,8 +74,8 @@ class TestSubmission:
         assert second.outcome == OUTCOME_HIT
         assert second.result(1).total_ms == pytest.approx(
             first.result(1).total_ms)
-        assert service.stats.searches == 1
-        assert service.stats.replays == 1
+        assert service.stats()["searches"] == 1
+        assert service.stats()["replays"] == 1
         service.close()
 
     def test_unknown_job_raises(self, tiny_vlm, small_cluster, parallel2,
@@ -108,7 +107,7 @@ class TestSubmission:
         service.close()
         with pytest.raises(ServiceClosedError):
             ticket.result(timeout=1)
-        assert service.stats.failed == 1
+        assert service.stats()["failed"] == 1
 
 
 class TestCoalescing:
@@ -127,9 +126,9 @@ class TestCoalescing:
         results = [t.result(timeout=1) for t in tickets]
         assert tickets[0].outcome == OUTCOME_SEARCH
         assert all(t.outcome == OUTCOME_COALESCED for t in tickets[1:])
-        assert service.stats.searches == 1
-        assert service.stats.coalesced == 3
-        assert service.stats.coalesce_rate == pytest.approx(0.75)
+        assert service.stats()["searches"] == 1
+        assert service.stats()["coalesced"] == 3
+        assert service.stats()["coalesce_rate"] == pytest.approx(0.75)
         makespans = {round(r.total_ms, 9) for r in results}
         assert len(makespans) == 1
         # Waiters replayed onto their own graphs, not handed the
@@ -165,7 +164,7 @@ class TestAdmissionControl:
         service.submit("vlm", controlled_batch([4]))
         with pytest.raises(ServiceOverloadError):
             service.submit("vlm", controlled_batch([8]))
-        assert service.stats.rejected == 1
+        assert service.stats()["rejected"] == 1
         service.close()
 
     def test_coalesced_requests_bypass_admission(self, tiny_vlm,
@@ -214,7 +213,7 @@ class TestAdmissionControl:
         assert urgent.done() and not warm.done()
         service.step()
         assert warm.done()
-        assert service.stats.prewarms == 1
+        assert service.stats()["prewarms"] == 1
         # The anticipated batch now replays instead of searching.
         real = service.submit("vlm", controlled_batch([6, 6], start_index=4))
         service.step()
@@ -247,7 +246,7 @@ class TestAdmissionControl:
                                max_queue=1)
         service.submit("vlm", controlled_batch([2]))
         assert service.prewarm("vlm", controlled_batch([4])) is None
-        assert service.stats.prewarms == 0
+        assert service.stats()["prewarms"] == 0
         service.close()
 
 
@@ -306,7 +305,7 @@ class TestMultiJob:
             assert max(makespans) - min(makespans) < 1e-9
         # Exactly one search per distinct batch; the rest replayed or
         # coalesced.
-        assert service.stats.searches == 2
+        assert service.stats()["searches"] == 2
         service.close()
 
 
@@ -349,7 +348,7 @@ class TestRecalibration:
         # Stale-context entries were evicted and telemetry reflects it.
         assert applied[0].invalidated >= 1
         assert service.cache.stats.invalidations >= 1
-        assert service.stats.recalibrations >= 1
+        assert service.stats()["recalibrations"] >= 1
         # The planner actually switched models.
         assert service.job("vlm").planner.cost_model is not cost_model
         service.close()
@@ -395,11 +394,15 @@ class TestDigestFirstHits:
         assert ticket.hit.tier == "memory"
         assert ticket.hit.entry.total_ms == searched.result(1).total_ms
         assert ticket.queue_wait_s == 0.0
-        stats = service.stats
-        assert (stats.submitted, stats.completed, stats.replays) == (2, 2, 1)
-        assert (stats.memory_hits, stats.disk_hits) == (1, 0)
-        assert len(stats.snapshot(include_samples=True)
-                   ["latency_samples_s"]) == 2
+        stats = service.stats()
+        assert (stats["submitted"], stats["completed"],
+                stats["replays"]) == (2, 2, 1)
+        assert (stats["memory_hits"], stats["disk_hits"]) == (1, 0)
+        latency, = [m for m in service.metrics.snapshot()["metrics"]
+                    if m["name"] == "repro_service_latency_seconds"]
+        total, = [s for s in latency["series"]
+                  if s["labels"] == {"stage": "total"}]
+        assert total["count"] == 2
         assert (service.cache.stats.hits, service.cache.stats.misses) == (1, 1)
         service.close()
 
@@ -422,11 +425,11 @@ class TestDigestFirstHits:
         assert digest in cache  # promoted into the memory tier
         assert (cache.stats.hits, cache.stats.disk_hits,
                 cache.stats.misses) == (1, 1, 0)
-        assert (reader.stats.disk_hits, reader.stats.memory_hits) == (1, 0)
+        assert (reader.stats()["disk_hits"], reader.stats()["memory_hits"]) == (1, 0)
         again = reader.submit("vlm", batch, digest=digest)
         assert again.hit.tier == "memory"
         assert (cache.stats.hits, cache.stats.disk_hits) == (2, 1)
-        assert (reader.stats.disk_hits, reader.stats.memory_hits) == (1, 1)
+        assert (reader.stats()["disk_hits"], reader.stats()["memory_hits"]) == (1, 1)
         reader.close()
 
     def test_miss_counts_one_cache_miss(self, tiny_vlm, small_cluster,
@@ -526,11 +529,11 @@ class TestDigestFirstHits:
         assert not errors, errors
         assert len(outcomes) == 120
         assert set(outcomes) <= {OUTCOME_HIT, OUTCOME_COALESCED}
-        stats = service.stats
-        assert stats.submitted == stats.completed == 123
-        assert stats.searches == 3 and stats.replays == 120
-        assert stats.memory_hits + stats.coalesced == 120
-        assert service.cache.stats.hits == stats.memory_hits
+        stats = service.stats()
+        assert stats["submitted"] == stats["completed"] == 123
+        assert stats["searches"] == 3 and stats["replays"] == 120
+        assert stats["memory_hits"] + stats["coalesced"] == 120
+        assert service.cache.stats.hits == stats["memory_hits"]
         service.close()
 
     def test_queue_wait_excludes_the_service_prepare(self, tiny_vlm,
@@ -554,19 +557,12 @@ class TestDigestFirstHits:
 
 
 class TestStatsHelpers:
-    def test_percentile(self):
-        assert percentile([], 50) == 0.0
-        assert percentile([3.0], 99) == 3.0
-        values = [float(v) for v in range(1, 101)]
-        assert percentile(values, 50) == pytest.approx(50.0, abs=1.0)
-        assert percentile(values, 99) == pytest.approx(99.0, abs=1.0)
-
     def test_snapshot_shape(self, tiny_vlm, small_cluster, parallel2,
                             cost_model):
         service = make_service(tiny_vlm, small_cluster, parallel2, cost_model)
         service.submit("vlm", controlled_batch([4, 8]))
         service.step()
-        snap = service.stats.snapshot()
+        snap = service.stats()
         for key in ("submitted", "completed", "coalesce_rate",
                     "plan_latency_p50_s", "plan_latency_p99_s",
                     "queue_wait_p50_s", "max_queue_depth"):
@@ -709,10 +705,10 @@ class TestRecalibrationHoldout:
         assert "ROLLED BACK" in event.describe()
         # Nothing was swapped, invalidated, or counted as applied.
         assert service.job("vlm").planner.cost_model is base_model
-        assert service.stats.recal_rollbacks == 1
-        assert service.stats.recalibrations == 0
+        assert service.stats()["recal_rollbacks"] == 1
+        assert service.stats()["recalibrations"] == 0
         assert service.cache.stats.invalidations == 0
-        assert service.stats.snapshot()["recal_rollbacks"] == 1
+        assert service.stats()["recal_rollbacks"] == 1
         service.close()
 
     def test_genuine_refit_applies_through_holdout(self, tiny_vlm,
@@ -737,8 +733,8 @@ class TestRecalibrationHoldout:
         assert not event.rolled_back
         assert event.holdout_samples > 0
         assert event.holdout_error_after <= event.holdout_error_before
-        assert service.stats.recal_rollbacks == 0
-        assert service.stats.recalibrations == 1
+        assert service.stats()["recal_rollbacks"] == 0
+        assert service.stats()["recalibrations"] == 1
         service.close()
 
     def test_holdout_zero_applies_overfit(self, tiny_vlm, small_cluster,
