@@ -65,14 +65,30 @@ class _Node:
 
 
 class _SearchState:
-    """Bookkeeping shared by all search strategies."""
+    """Bookkeeping shared by all search strategies, including the one
+    stop check they all use (:meth:`done`)."""
 
-    def __init__(self, evaluator: Evaluator, sign: float) -> None:
+    def __init__(
+        self,
+        evaluator: Evaluator,
+        sign: float,
+        budget_evaluations: int,
+        time_budget_s: Optional[float] = None,
+        patience: Optional[int] = None,
+    ) -> None:
+        if patience is not None and patience < 1:
+            raise ValueError(f"patience must be >= 1, got {patience}")
         self.evaluator = evaluator
         self.sign = sign
+        self.budget_evaluations = budget_evaluations
+        self.time_budget_s = time_budget_s
+        self.patience = patience
         self.best_ms = math.inf
         self.best_ordering: Optional[List[GroupKey]] = None
         self.evaluations = 0
+        #: Index (1-based) of the evaluation that set the current best;
+        #: 0 before any evaluation improved on the initial incumbent.
+        self.last_improvement = 0
         self.trace: List[Tuple[float, int, float]] = []
         self.t0 = time.monotonic()
 
@@ -84,10 +100,30 @@ class _SearchState:
         if effective < self.best_ms:
             self.best_ms = effective
             self.best_ordering = list(ordering)
+            self.last_improvement = self.evaluations
             self.trace.append(
                 (time.monotonic() - self.t0, self.evaluations, ms)
             )
         return -ms * self.sign  # maximise: lower time is better when sign=+1
+
+    def done(self) -> bool:
+        """Whether the search must stop before its next evaluation.
+
+        True once the evaluation budget is spent, once ``patience``
+        consecutive evaluations have passed without a new best, or once
+        the wall-clock budget is over.  Checked before every evaluation,
+        so each limit stops a search at the same evaluation whatever the
+        strategy is doing at the time (mid-expansion for MCTS).
+        """
+        if self.evaluations >= self.budget_evaluations:
+            return True
+        if (self.patience is not None
+                and self.evaluations - self.last_improvement >= self.patience):
+            return True
+        if (self.time_budget_s is not None
+                and time.monotonic() - self.t0 > self.time_budget_s):
+            return True
+        return False
 
     def result(self) -> ReorderResult:
         if self.best_ordering is None:
@@ -162,13 +198,14 @@ def mcts_reorder(
     seed: int = 0,
     invert: bool = False,
     seed_ordering: Optional[Sequence[GroupKey]] = None,
+    patience: Optional[int] = None,
 ) -> ReorderResult:
     """Search group orderings with MCTS (the DIP default).
 
     Args:
         groups: The orderable segment groups.
         evaluator: Maps a full ordering to iteration milliseconds.
-        budget_evaluations: Evaluator-call budget (deterministic).
+        budget_evaluations: Evaluator-call cap (deterministic).
         time_budget_s: Optional wall-clock budget; whichever limit hits
             first stops the search.
         rollouts_per_expansion: Random completions evaluated per MCTS
@@ -183,8 +220,16 @@ def mcts_reorder(
             expanded into the tree with its score backpropagated, so
             selection starts biased toward the prior best instead of
             uniform.
+        patience: Optional stopping rule: end the search once this many
+            consecutive evaluations found no new best (deterministic,
+            like the evaluation cap).  The first evaluation always sets
+            the best, so a budget of ``patience`` or less never stops
+            early.  A stop can fall mid-expansion, exactly like a budget
+            cut: the result then equals that of the same search run
+            without ``patience`` at a budget equal to the stop point.
     """
-    state = _SearchState(evaluator, sign=-1.0 if invert else 1.0)
+    state = _SearchState(evaluator, -1.0 if invert else 1.0,
+                         budget_evaluations, time_budget_s, patience)
     items = list(groups)
     if not items:
         raise ValueError("no groups to order")
@@ -221,15 +266,8 @@ def mcts_reorder(
             return 0.5
         return (score - lo) / (hi - lo)
 
-    def out_of_budget() -> bool:
-        if state.evaluations >= budget_evaluations:
-            return True
-        if time_budget_s is not None and time.monotonic() - state.t0 > time_budget_s:
-            return True
-        return False
-
     rng = np.random.default_rng(seed)
-    while not out_of_budget():
+    while not state.done():
         # 1. Selection + 2. Expansion.
         node = root
         prefix: List[GroupKey] = []
@@ -261,7 +299,7 @@ def mcts_reorder(
         # 3. Rollouts.
         best_rollout = -math.inf
         for _ in range(rollouts_per_expansion):
-            if out_of_budget():
+            if state.done():
                 break
             tail = list(remaining)
             rng.shuffle(tail)
@@ -286,20 +324,21 @@ def random_reorder(
     seed: int = 0,
     invert: bool = False,
     seed_ordering: Optional[Sequence[GroupKey]] = None,
+    patience: Optional[int] = None,
 ) -> ReorderResult:
     """Uniformly random permutation sampling (Fig. 11 baseline).
 
     ``seed_ordering`` (a permutation of ``groups``) is evaluated first so
-    a warm start can never do worse than the prior best.
+    a warm start can never do worse than the prior best.  Budgets and
+    ``patience`` stop the search as in :func:`mcts_reorder`.
     """
-    state = _SearchState(evaluator, sign=-1.0 if invert else 1.0)
+    state = _SearchState(evaluator, -1.0 if invert else 1.0,
+                         budget_evaluations, time_budget_s, patience)
     rng = np.random.default_rng(seed)
     items = list(groups)
     if seed_ordering is not None and budget_evaluations > 0:
         state.evaluate(_validate_seed(seed_ordering, items))
-    while state.evaluations < budget_evaluations:
-        if time_budget_s is not None and time.monotonic() - state.t0 > time_budget_s:
-            break
+    while not state.done():
         ordering = list(items)
         rng.shuffle(ordering)
         state.evaluate(ordering)
@@ -314,6 +353,7 @@ def dfs_reorder(
     seed: int = 0,
     invert: bool = False,
     seed_ordering: Optional[Sequence[GroupKey]] = None,
+    patience: Optional[int] = None,
 ) -> ReorderResult:
     """Depth-first systematic enumeration (Fig. 11 baseline).
 
@@ -323,9 +363,11 @@ def dfs_reorder(
     start from a hand-tuned ordering — unless a warm-start
     ``seed_ordering`` is given, in which case it becomes the base order:
     the first leaf DFS evaluates is the seed itself and enumeration
-    explores its neighbourhood first.
+    explores its neighbourhood first.  Budgets and ``patience`` stop the
+    search as in :func:`mcts_reorder`.
     """
-    state = _SearchState(evaluator, sign=-1.0 if invert else 1.0)
+    state = _SearchState(evaluator, -1.0 if invert else 1.0,
+                         budget_evaluations, time_budget_s, patience)
     items = list(groups)
     if seed_ordering is not None:
         items = _validate_seed(seed_ordering, items)
@@ -334,9 +376,7 @@ def dfs_reorder(
         rng.shuffle(items)
 
     def dfs(prefix: List[GroupKey], remaining: List[GroupKey]) -> bool:
-        if state.evaluations >= budget_evaluations:
-            return False
-        if time_budget_s is not None and time.monotonic() - state.t0 > time_budget_s:
+        if state.done():
             return False
         if not remaining:
             state.evaluate(prefix)

@@ -12,8 +12,8 @@ The measurement behind ``repro perf-bench`` and
   :class:`~repro.core.searcher.ScheduleSearcher` versus the same
   seeded :func:`~repro.core.mcts.mcts_reorder` run over the reference
   interleaver and the retry-loop simulator, asserting the same winning
-  ordering, per-rank order and best makespan at the same budget (the
-  kernel must buy speed, never quality).
+  ordering, per-rank order and best makespan at the same budget and
+  stopping rule (the kernel must buy speed, never quality).
 
 Report keys keep their historical ``legacy_*`` names for the reference
 leg.
@@ -38,7 +38,7 @@ from repro.core.mcts import mcts_reorder
 from repro.core.memopt import generate_candidates
 from repro.core.partitioner import ModalityPartitioner
 from repro.core.planner import reference_microbatch
-from repro.core.searcher import ScheduleSearcher
+from repro.core.searcher import ORDERING_PATIENCE, ScheduleSearcher
 from repro.core.stages import GroupKey
 from repro.data.workload import t2v_workload, vlm_workload
 from repro.models.lmm import build_combination
@@ -93,8 +93,8 @@ def run_eval_core_bench(
 
     Returns a JSON-serialisable report; raises
     :class:`EvalCoreMismatchError` if the two paths disagree on any
-    rollout score, the final best makespan, the winning ordering or the
-    winning per-rank order — speed must never change the answer.  (An
+    rollout score, the final best makespan, the evaluation count, the
+    winning ordering or the winning per-rank order — speed must never change the answer.  (An
     explicit exception, not ``assert``, so the gate survives
     ``python -O``.)
     """
@@ -156,14 +156,15 @@ def run_eval_core_bench(
     search_kernel_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     # The reference leg: the searcher's memory preparation, then the
-    # same seeded MCTS over the reference interleaver, and the retry-loop
-    # simulator (identity jitter) for the final timeline.
+    # same seeded MCTS (same budget cap and stopping rule) over the
+    # reference interleaver, and the retry-loop simulator (identity
+    # jitter) for the final timeline.
     kernel_searcher._prepare_memory(g_legacy)
     legacy_reorder = mcts_reorder(
         list(g_legacy.groups().keys()),
         lambda o: _reference_interleave(g_legacy, cluster, parallel,
                                         cost_model, o).total_ms,
-        budget_evaluations=budget, seed=sseed,
+        budget_evaluations=budget, seed=sseed, patience=ORDERING_PATIENCE,
     )
     legacy_order = _reference_interleave(
         g_legacy, cluster, parallel, cost_model,
@@ -176,6 +177,9 @@ def run_eval_core_bench(
     if kernel_result.total_ms != legacy_ms:
         raise EvalCoreMismatchError(
             "kernel search found a different best makespan at equal budget")
+    if kernel_result.evaluations != legacy_reorder.evaluations:
+        raise EvalCoreMismatchError(
+            "kernel search stopped after a different number of evaluations")
     if kernel_result.ordering != legacy_reorder.ordering:
         raise EvalCoreMismatchError(
             "kernel search produced a different winning ordering")

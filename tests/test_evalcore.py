@@ -10,6 +10,8 @@ microbatch counts, modality mixes and memory regimes.  Every search
 strategy run over both evaluators must follow the same trajectory.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.core.memopt import (
     generate_candidates,
     optimize_memory,
 )
-from repro.core.searcher import ScheduleSearcher
+from repro.core.searcher import ORDERING_PATIENCE, ScheduleSearcher
 from repro.core.stages import (
     Direction,
     IterationGraph,
@@ -259,7 +261,8 @@ class TestBuilderGraphDifferential:
         """The production searcher agrees with MCTS over the reference
         interleaver, the memory ILP and the retry-loop simulator on the
         winning ordering, per-rank order, evaluation count and
-        makespan."""
+        makespan.  At budget 120 both stop by the searcher's stopping
+        rule, well before the cap."""
         from repro.core.graphbuilder import build_iteration_graph
         from repro.data.workload import vlm_workload
 
@@ -272,10 +275,12 @@ class TestBuilderGraphDifferential:
                 partitioner=partitioner,
             )
 
-        for enable_memopt in (False, True):
+        for budget, enable_memopt in itertools.product((12, 120),
+                                                       (False, True)):
             searcher = ScheduleSearcher(
                 small_cluster, parallel2, cost_model,
-                budget_evaluations=12, seed=7, enable_memopt=enable_memopt)
+                budget_evaluations=budget, seed=7,
+                enable_memopt=enable_memopt)
             result = searcher.search(build())
 
             graph = build()
@@ -288,7 +293,8 @@ class TestBuilderGraphDifferential:
                 list(graph.groups().keys()),
                 lambda o: reference_interleave(
                     graph, small_cluster, parallel2, cost_model, o).total_ms,
-                budget_evaluations=12, seed=7)
+                budget_evaluations=budget, seed=7,
+                patience=ORDERING_PATIENCE)
             interleaved = reference_interleave(
                 graph, small_cluster, parallel2, cost_model,
                 reorder.ordering)
@@ -299,6 +305,8 @@ class TestBuilderGraphDifferential:
                 graph, interleaved.order, small_cluster, parallel2,
                 cost_model, jitter=identity_jitter)
 
+            if budget > ORDERING_PATIENCE:
+                assert result.evaluations < budget
             assert result.ordering == reorder.ordering
             assert result.evaluations == reorder.evaluations
             assert result.reorder.best_ms == reorder.best_ms

@@ -47,7 +47,7 @@ class TestMcts:
         groups = make_groups(6)
         result = mcts_reorder(groups, position_evaluator(groups),
                               budget_evaluations=37, seed=0)
-        assert result.evaluations <= 37 + 4  # workers may finish a rollout
+        assert result.evaluations == 37  # checked before every rollout
 
     def test_trace_monotone_decreasing(self):
         groups = make_groups(8)
@@ -76,6 +76,83 @@ class TestMcts:
         prios = result.priorities()
         ordered = sorted(prios.items(), key=lambda kv: -kv[1])
         assert [g for g, _ in ordered] == result.ordering
+
+
+STRATEGIES = {"mcts": mcts_reorder, "dfs": dfs_reorder,
+              "random": random_reorder}
+PATIENCE = 8
+
+
+def trajectory(result):
+    """Every field of a result except the trace's wall-clock stamps."""
+    return (result.ordering, result.best_ms, result.evaluations,
+            [(evals, ms) for _, evals, ms in result.trace])
+
+
+class TestPatience:
+    """The stopping rule: ``patience`` consecutive evaluations without a
+    new best end a search, and the evaluation budget stays the cap."""
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("invert", [False, True])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_stops_patience_after_last_improvement(self, name, invert,
+                                                   seeded):
+        reorder = STRATEGIES[name]
+        groups = make_groups(8)
+        evaluator = position_evaluator(list(reversed(groups)))
+        seed_ordering = groups[1:] + groups[:1] if seeded else None
+        budget = 300
+        result = reorder(groups, evaluator, budget_evaluations=budget,
+                         seed=4, invert=invert, seed_ordering=seed_ordering,
+                         patience=PATIENCE)
+        last_improvement = result.trace[-1][1]
+        assert result.evaluations < budget  # the rule, not the cap, fired
+        assert result.evaluations == last_improvement + PATIENCE
+        # Identical to the same search cut by its budget at the stop point.
+        capped = reorder(groups, evaluator,
+                         budget_evaluations=result.evaluations, seed=4,
+                         invert=invert, seed_ordering=seed_ordering)
+        assert trajectory(result) == trajectory(capped)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_budget_caps_a_patient_search(self, name):
+        groups = make_groups(8)
+        evaluator = position_evaluator(list(reversed(groups)))
+        for budget in range(PATIENCE + 1, 4 * PATIENCE):
+            result = STRATEGIES[name](groups, evaluator,
+                                      budget_evaluations=budget, seed=4,
+                                      patience=PATIENCE)
+            assert result.evaluations == min(
+                budget, result.trace[-1][1] + PATIENCE)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("invert", [False, True])
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_budget_within_patience_is_unchanged(self, name, invert, seeded):
+        """The first evaluation always sets the best, so no search with a
+        budget of ``patience`` or less can stop early."""
+        reorder = STRATEGIES[name]
+        groups = make_groups(7)
+        evaluator = position_evaluator(list(reversed(groups)))
+        seed_ordering = list(groups) if seeded else None
+        for budget in (1, PATIENCE // 2, PATIENCE):
+            patient = reorder(groups, evaluator, budget_evaluations=budget,
+                              seed=2, invert=invert,
+                              seed_ordering=seed_ordering,
+                              patience=PATIENCE)
+            plain = reorder(groups, evaluator, budget_evaluations=budget,
+                            seed=2, invert=invert,
+                            seed_ordering=seed_ordering)
+            assert patient.evaluations == budget
+            assert trajectory(patient) == trajectory(plain)
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_patience_must_be_positive(self, name):
+        groups = make_groups(3)
+        with pytest.raises(ValueError):
+            STRATEGIES[name](groups, position_evaluator(groups),
+                             budget_evaluations=5, patience=0)
 
 
 class TestBaselineSearches:
