@@ -355,7 +355,13 @@ def run_rpc_transport():
     )
     remote_s = time.monotonic() - t0
     remote_stats = remote_service.stats()
-    wire_stats = server.remote.snapshot()
+    wire_stats = {
+        name: server.metrics.counter(f"repro_rpc_{name}_total").value()
+        for name in ("connections_opened", "protocol_errors")}
+    wire_bytes = server.metrics.counter("repro_rpc_bytes_total")
+    for direction in ("in", "out"):
+        wire_stats[f"bytes_{direction}"] = wire_bytes.value(
+            direction=direction)
 
     # Hit-path latency over the socket: prepare + frame round trip +
     # canonical-plan payload + local replay, no search — against the

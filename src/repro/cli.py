@@ -521,12 +521,15 @@ def _serve_socket(args, models) -> int:
         print(f"saved plan cache to {cache_file} "
               f"({len(service.cache)} entries)")
     print(service.describe())
-    remote = server.remote.snapshot()
-    print(f"remote: {remote['connections_opened']} connections, "
-          f"{remote['requests']} requests, "
-          f"{remote['errors']} errors, "
-          f"{remote['protocol_errors']} protocol errors, "
-          f"{remote['disconnects_mid_request']} mid-request disconnects")
+    wire = {name: int(server.metrics.counter(f"repro_rpc_{name}_total")
+                      .value())
+            for name in ("connections_opened", "requests", "errors",
+                         "protocol_errors", "disconnects_mid_request")}
+    print(f"remote: {wire['connections_opened']} connections, "
+          f"{wire['requests']} requests, "
+          f"{wire['errors']} errors, "
+          f"{wire['protocol_errors']} protocol errors, "
+          f"{wire['disconnects_mid_request']} mid-request disconnects")
     service.close()
     return 0
 
@@ -1503,11 +1506,9 @@ def build_parser() -> argparse.ArgumentParser:
     oscrape.add_argument("--output", default=None, metavar="PATH",
                          help="write to PATH instead of stdout")
     oscrape.add_argument("--check", action="store_true",
-                         help="exit nonzero unless cross-subsystem "
-                              "consistency holds on every shard "
-                              "(tier-split hits sum to totals, the stats "
-                              "RPC's hit and shed counts agree with the "
-                              "registry they are viewed from)")
+                         help="exit nonzero unless the cache's "
+                              "tier-split hits sum to its hit lookups on "
+                              "every shard")
     oscrape.add_argument("--client-metrics", default=None,
                          metavar="PATH",
                          help="client-side metrics snapshot JSON "

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
-from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.plancache import (
@@ -35,6 +33,7 @@ from repro.core.plancache import (
     plan_to_dict,
 )
 from repro.core.signature import SIGNATURE_VERSION
+from repro.obs.registry import MetricsRegistry
 
 #: Bumped whenever the per-digest file schema changes shape.
 TIER_FILE_VERSION = 1
@@ -45,23 +44,11 @@ TIER_FILE_FORMAT = "repro-plan-tier"
 TIER_SUFFIX = ".plan.json"
 
 
-@dataclass
-class TierStats:
-    """Disk-tier telemetry (per process — the directory is shared, the
-    counters are not)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    invalidations: int = 0
-    errors: int = 0  # unreadable/stale files and failed writes
-
-    def describe(self) -> str:
-        return (
-            f"{self.hits} disk hits, {self.misses} disk misses, "
-            f"{self.stores} stores, {self.invalidations} invalidated, "
-            f"{self.errors} errors"
-        )
+#: Disk-tier operation counter, labelled ``op``: one of :data:`TIER_OPS`.
+OPS_METRIC = "repro_disk_tier_ops_total"
+#: Unreadable/stale files and failed writes count as ``errors``.
+TIER_OPS = ("hits", "misses", "stores", "invalidations", "errors")
+ENTRIES_METRIC = "repro_disk_tier_entries"
 
 
 class DiskCacheTier:
@@ -76,14 +63,23 @@ class DiskCacheTier:
     def __init__(self, directory: str, fault_plan=None) -> None:
         self.directory = os.path.abspath(directory)
         os.makedirs(self.directory, exist_ok=True)
-        self.stats = TierStats()
+        #: Per-process telemetry (the directory is shared, the counters
+        #: are not).
+        self.metrics = MetricsRegistry()
+        self._m_ops = self.metrics.counter(
+            OPS_METRIC, "Disk-tier operations by kind", labels=("op",))
+        for op in TIER_OPS:
+            self._m_ops.inc(0, op=op)
+        self._m_entries = self.metrics.gauge(
+            ENTRIES_METRIC,
+            "Plan files currently in the shared tier directory",
+            agg="max",  # shards share one directory; don't multi-count
+        )
         #: Optional :class:`~repro.chaos.faults.FaultPlan` consulted at
         #: ``disk.get`` / ``disk.put``; an injected fault takes the same
         #: error path a full or failing disk would (count + degrade to
         #: pass-through) — chaos exercises real code paths, not stubs.
         self.fault_plan = fault_plan
-        self._lock = threading.Lock()  # guards stats only; files are
-        # cross-process safe on their own via os.replace.
 
     def __len__(self) -> int:
         return len(self.digests())
@@ -99,10 +95,9 @@ class DiskCacheTier:
             raise ValueError(f"not a hex signature digest: {digest!r}")
         return os.path.join(self.directory, digest + TIER_SUFFIX)
 
-    def _count(self, counter: str, delta: int = 1) -> None:
-        with self._lock:
-            setattr(self.stats, counter,
-                    getattr(self.stats, counter) + delta)
+    def _count(self, *ops: str) -> None:
+        for op in ops:
+            self._m_ops.inc(op=op)
 
     # -- reads ---------------------------------------------------------------
 
@@ -111,12 +106,11 @@ class DiskCacheTier:
 
         Stale schema versions, torn/corrupt files, and digest mismatches
         (a file renamed by hand) all count as misses; genuinely
-        unreadable files additionally bump ``stats.errors``.
+        unreadable files additionally count as ``errors``.
         """
         if (self.fault_plan is not None
                 and self.fault_plan.decide("disk.get") is not None):
-            self._count("misses")
-            self._count("errors")
+            self._count("misses", "errors")
             return None
         try:
             with open(self.path_for(digest)) as f:
@@ -126,13 +120,11 @@ class DiskCacheTier:
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError,
                 ValueError):
-            self._count("misses")
-            self._count("errors")
+            self._count("misses", "errors")
             return None
         plan = self._decode(payload)
         if plan is None or plan.signature.digest != digest:
-            self._count("misses")
-            self._count("errors")
+            self._count("misses", "errors")
             return None
         self._count("hits")
         return plan
@@ -218,7 +210,7 @@ class DiskCacheTier:
             if context in context_digests:
                 if self.remove(digest):
                     removed += 1
-        self._count("invalidations", removed)
+        self._m_ops.inc(removed, op="invalidations")
         return removed
 
     def clear(self) -> int:
@@ -228,29 +220,8 @@ class DiskCacheTier:
                 removed += 1
         return removed
 
-    # -- reads (telemetry) ---------------------------------------------------
-
-    def snapshot(self) -> Dict:
-        """JSON-serialisable telemetry (stats + directory occupancy)."""
-        with self._lock:
-            snap = asdict(self.stats)
-        snap["entries"] = len(self)
-        snap["directory"] = self.directory
-        return snap
-
-    def export_metrics(self, registry) -> None:
-        """Bridge :class:`TierStats` into a metrics registry (absolute
-        values, per-process — the directory is shared, the counters are
-        not)."""
-        with self._lock:
-            stats = asdict(self.stats)
-        ops = registry.counter(
-            "repro_disk_tier_ops_total",
-            "Disk-tier operations by kind", labels=("op",))
-        for op, value in stats.items():
-            ops.set_value(value, op=op)
-        registry.gauge(
-            "repro_disk_tier_entries",
-            "Plan files currently in the shared tier directory",
-            agg="max",  # shards share one directory; don't multi-count
-        ).set(len(self))
+    def metrics_snapshot(self) -> Dict:
+        """Snapshot of :attr:`metrics`, with the occupancy gauge (a read
+        of the directory *now*) set first."""
+        self._m_entries.set(len(self))
+        return self.metrics.snapshot()

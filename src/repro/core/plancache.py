@@ -16,8 +16,10 @@ Sits between the online planner and the schedule searcher:
   of starting uniform.
 * **Miss** — cold search; the result is stored for future iterations.
 
-All telemetry (hits, near hits, misses, evictions) is tracked in
-:class:`CacheStats`; the cache is thread-safe so the planner's
+All telemetry (hits, near hits, misses, evictions) is counted live into
+the cache's :class:`~repro.obs.registry.MetricsRegistry`
+(``cache.metrics``); :func:`cache_view` reads it back as a
+:class:`CacheStats`.  The cache is thread-safe so the planner's
 asynchronous search thread can share it with the caller.
 """
 
@@ -39,6 +41,7 @@ from repro.core.signature import (
     feature_distance,
 )
 from repro.core.stages import GroupKey, IterationGraph
+from repro.obs.registry import MetricsRegistry, sample_value
 
 #: Default number of cached plans the planner keeps.
 DEFAULT_CACHE_SIZE = 64
@@ -57,6 +60,16 @@ _UMASK = os.umask(0)
 os.umask(_UMASK)
 
 CanonicalGroup = Tuple[int, str, str]
+
+#: Exact hits by serving tier; the tiers sum to
+#: ``LOOKUPS_METRIC{result="hit"}`` (the scrape checker asserts it).
+HITS_METRIC = "repro_cache_hits_total"
+#: Lookups by result: ``hit``, ``near`` or ``miss``.
+LOOKUPS_METRIC = "repro_cache_lookups_total"
+EVICTIONS_METRIC = "repro_cache_evictions_total"
+STORES_METRIC = "repro_cache_stores_total"
+INVALIDATIONS_METRIC = "repro_cache_invalidations_total"
+ENTRIES_METRIC = "repro_cache_entries"
 
 
 def atomic_write_json(path: str, payload: Dict) -> str:
@@ -114,16 +127,18 @@ class CachedPlan:
     label: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss/eviction telemetry.
+    """Hit/miss/eviction telemetry: a read-only view of a cache's
+    metrics (see :func:`cache_view`).
 
     ``hits`` counts every exact hit regardless of the tier that served
     it; ``disk_hits`` counts the subset answered by the on-disk tier
     (so ``hits - disk_hits`` hits came straight from memory).  Keeping
     ``hits`` tier-blind is the accounting half of the tier-parity
     invariant: which tier serves a plan must not change what callers
-    observe.
+    observe.  ``entries`` is the in-memory occupancy when the view was
+    taken.
     """
 
     hits: int = 0
@@ -133,6 +148,7 @@ class CacheStats:
     stores: int = 0
     invalidations: int = 0
     disk_hits: int = 0
+    entries: int = 0
 
     @property
     def lookups(self) -> int:
@@ -163,6 +179,29 @@ class CacheStats:
         if self.invalidations:
             text += f", {self.invalidations} invalidated"
         return text
+
+
+def cache_view(snapshot: Dict) -> CacheStats:
+    """The cache's stats, read from one registry snapshot.
+
+    ``snapshot`` is one cache's :meth:`PlanCache.metrics_snapshot` or a
+    :func:`~repro.obs.registry.merge_snapshots` fold of several (shards'
+    ``metrics`` RPC replies, without extra labels): counts and
+    occupancy sum across the folded caches.
+    """
+    def value(name: str, **labels: str) -> int:
+        return int(sample_value(snapshot, name, labels or None, default=0))
+
+    return CacheStats(
+        hits=value(LOOKUPS_METRIC, result="hit"),
+        near_hits=value(LOOKUPS_METRIC, result="near"),
+        misses=value(LOOKUPS_METRIC, result="miss"),
+        evictions=value(EVICTIONS_METRIC),
+        stores=value(STORES_METRIC),
+        invalidations=value(INVALIDATIONS_METRIC),
+        disk_hits=value(HITS_METRIC, tier="disk"),
+        entries=value(ENTRIES_METRIC),
+    )
 
 
 @dataclass
@@ -215,7 +254,32 @@ class PlanCache:
         self.near_miss = near_miss
         self.near_miss_max_distance = near_miss_max_distance
         self.disk_tier = disk_tier
-        self.stats = CacheStats()
+        #: The one store of the cache's telemetry, counted live under
+        #: the cache lock; read it through :attr:`stats`.
+        self.metrics = MetricsRegistry()
+        self._m_hits = self.metrics.counter(
+            HITS_METRIC, "Exact plan-cache hits by serving tier",
+            labels=("tier",))
+        self._m_lookups = self.metrics.counter(
+            LOOKUPS_METRIC, "Plan-cache lookups by result",
+            labels=("result",))
+        self._m_evictions = self.metrics.counter(
+            EVICTIONS_METRIC, "LRU evictions from the in-memory tier")
+        self._m_stores = self.metrics.counter(
+            STORES_METRIC, "Fresh plans stored (write-through when a disk "
+            "tier is attached)")
+        self._m_invalidations = self.metrics.counter(
+            INVALIDATIONS_METRIC, "Entries dropped by context invalidation")
+        self._m_entries = self.metrics.gauge(
+            ENTRIES_METRIC, "Plans currently resident in the in-memory tier")
+        # Every series exists from the start, at zero.
+        for tier in ("memory", "disk"):
+            self._m_hits.inc(0, tier=tier)
+        for result in ("hit", "near", "miss"):
+            self._m_lookups.inc(0, result=result)
+        for counter in (self._m_evictions, self._m_stores,
+                        self._m_invalidations):
+            counter.inc(0)
         self._entries: "OrderedDict[str, CachedPlan]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -224,6 +288,17 @@ class PlanCache:
 
     def __contains__(self, digest: str) -> bool:
         return digest in self._entries
+
+    def metrics_snapshot(self) -> Dict:
+        """Snapshot of :attr:`metrics`, with the occupancy gauge (a read
+        of *now*) set first."""
+        self._m_entries.set(len(self._entries))
+        return self.metrics.snapshot()
+
+    @property
+    def stats(self) -> CacheStats:
+        """The cache's counters and occupancy, as of this call."""
+        return cache_view(self.metrics_snapshot())
 
     def lookup(self, signature: GraphSignature,
                allow_near: bool = True) -> CacheLookup:
@@ -270,7 +345,7 @@ class PlanCache:
             if entry.signature.context_digest != context_digest:
                 return None
             self._entries.move_to_end(digest)
-            self.stats.hits += 1
+            self._count_hit("memory")
             return CacheLookup(kind="hit", entry=entry, distance=0.0,
                                tier="memory")
         if self.disk_tier is None:
@@ -282,13 +357,20 @@ class PlanCache:
         # A promotion is not a fresh store (stats.stores describes plans
         # *produced*), but it does respect capacity like one.
         self._entries[digest] = entry
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self.stats.hits += 1
-        self.stats.disk_hits += 1
+        self._evict_overflow()
+        self._count_hit("disk")
         return CacheLookup(kind="hit", entry=entry, distance=0.0,
                            tier="disk")
+
+    def _count_hit(self, tier: str) -> None:
+        self._m_hits.inc(tier=tier)
+        self._m_lookups.inc(result="hit")
+
+    def _evict_overflow(self) -> None:
+        """Drop LRU entries beyond capacity; caller holds the lock."""
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self._m_evictions.inc()
 
     def _lookup(self, signature: GraphSignature,
                 allow_near: bool) -> CacheLookup:
@@ -315,10 +397,10 @@ class PlanCache:
                         best = candidate
                 if best is not None and best_distance <= self.near_miss_max_distance:
                     self._entries.move_to_end(best.signature.digest)
-                    self.stats.near_hits += 1
+                    self._m_lookups.inc(result="near")
                     return CacheLookup(kind="near", entry=best,
                                        distance=best_distance)
-            self.stats.misses += 1
+            self._m_lookups.inc(result="miss")
             return CacheLookup(kind="miss")
 
     def store(self, plan: CachedPlan) -> None:
@@ -333,53 +415,10 @@ class PlanCache:
             if digest in self._entries:
                 self._entries.move_to_end(digest)
             self._entries[digest] = plan
-            self.stats.stores += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self._m_stores.inc()
+            self._evict_overflow()
         if self.disk_tier is not None:
             self.disk_tier.put(plan)
-
-    def export_metrics(self, registry) -> None:
-        """Bridge :class:`CacheStats` into a metrics registry.
-
-        Absolute values via ``set_value`` — the cache keeps counting in
-        its own stats object and every snapshot re-exports the current
-        totals, so repeated ``metrics`` RPCs never double-count.  The
-        tier-labelled ``repro_cache_hits_total`` series sum to
-        ``repro_cache_lookups_total{result="hit"}`` by construction
-        (``hits`` is tier-blind, ``disk_hits`` is its disk subset) —
-        the scrape checker asserts exactly that.
-        """
-        stats = self.stats
-        hits = registry.counter(
-            "repro_cache_hits_total",
-            "Exact plan-cache hits by serving tier", labels=("tier",))
-        hits.set_value(stats.hits - stats.disk_hits, tier="memory")
-        hits.set_value(stats.disk_hits, tier="disk")
-        lookups = registry.counter(
-            "repro_cache_lookups_total",
-            "Plan-cache lookups by result", labels=("result",))
-        lookups.set_value(stats.hits, result="hit")
-        lookups.set_value(stats.near_hits, result="near")
-        lookups.set_value(stats.misses, result="miss")
-        for name, value, help_text in (
-            ("repro_cache_evictions_total", stats.evictions,
-             "LRU evictions from the in-memory tier"),
-            ("repro_cache_stores_total", stats.stores,
-             "Fresh plans stored (write-through when a disk tier "
-             "is attached)"),
-            ("repro_cache_invalidations_total", stats.invalidations,
-             "Entries dropped by context invalidation"),
-        ):
-            registry.counter(name, help_text).set_value(value)
-        registry.gauge(
-            "repro_cache_entries",
-            "Plans currently resident in the in-memory tier",
-        ).set(len(self._entries))
-        if self.disk_tier is not None and hasattr(self.disk_tier,
-                                                  "export_metrics"):
-            self.disk_tier.export_metrics(registry)
 
     def invalidate_context(self, context_digest: str) -> int:
         """Drop every entry stored under ``context_digest``.
@@ -408,7 +447,7 @@ class PlanCache:
             ]
             for digest in stale:
                 del self._entries[digest]
-            self.stats.invalidations += len(stale)
+            self._m_invalidations.inc(len(stale))
             removed = len(stale)
         if self.disk_tier is not None:
             removed += self.disk_tier.invalidate_contexts(context_digests)

@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import time
 import warnings
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.plancache import cache_view
 from repro.core.planner import OnlinePlanner
 from repro.data.batching import GlobalBatch
 from repro.fleet.breaker import CircuitBreaker
@@ -585,8 +587,8 @@ class FleetClient:
 
 def fleet_stats(addresses: Sequence[str],
                 timeout_s: float = 30.0) -> Dict:
-    """Poll every shard's stats RPC and merge into one fleet view —
-    usable without a live :class:`FleetClient` (the CLI and the
+    """Poll every shard's ``metrics`` RPC and merge into one fleet view
+    — usable without a live :class:`FleetClient` (the CLI and the
     benchmark poll after their drive processes have exited).
 
     Same shape as :meth:`FleetClient.stats`, minus the client-side
@@ -601,35 +603,32 @@ def fleet_stats(addresses: Sequence[str],
 
 def _merged_stats(addresses: Sequence[str],
                   call: Callable[[str, str, Dict], Dict]) -> Dict:
-    """Per-shard raw ``stats`` snapshots plus one merged view;
+    """One ``metrics`` RPC per shard, merged into one view;
     ``call(address, method, params)`` sends one RPC to a shard.
 
-    The merged ``service`` section is :func:`service_view` of the
-    shards' registry snapshots (``metrics`` RPC) folded with
-    :func:`merge_snapshots`: counters sum, queue depths sum, peaks take
-    the max, and latency histograms add bucket-wise — so fleet
-    percentiles are exact over every shard's requests, whatever the
-    shard order.  An unreachable shard contributes an ``error`` entry
-    instead of sinking the whole view.
+    The shards' registry snapshots fold with :func:`merge_snapshots`:
+    counters sum, queue depths and cache occupancy sum, peaks take the
+    max, and latency histograms add bucket-wise — so fleet percentiles
+    are exact over every shard's requests, whatever the shard order.
+    ``service`` is :func:`service_view` of the fold, ``cache`` is
+    :func:`cache_view` of it, and ``shards`` keeps each shard's raw
+    ``metrics`` reply (snapshot plus identity).  An unreachable shard
+    contributes an ``error`` entry instead of sinking the whole view.
     """
     shards: Dict[str, Dict] = {}
     registries: List[Dict] = []
-    cache_totals: Dict[str, float] = {}
     for address in addresses:
         try:
-            snap = call(address, "stats", {})
-            registry = call(address, "metrics", {})["metrics"]
+            reply = call(address, "metrics", {})
         except FAILOVER_ERRORS as exc:
             shards[address] = {"error": str(exc)}
             continue
-        shards[address] = snap
-        registries.append(registry)
-        for key, value in (snap.get("cache") or {}).items():
-            if isinstance(value, (int, float)):
-                cache_totals[key] = cache_totals.get(key, 0) + value
+        shards[address] = reply
+        registries.append(reply["metrics"])
+    merged = merge_snapshots(registries)
     return {
-        "service": service_view(merge_snapshots(registries)),
-        "cache": cache_totals,
+        "service": service_view(merged),
+        "cache": asdict(cache_view(merged)),
         "shards": shards,
         "reachable": len(registries),
     }

@@ -179,7 +179,7 @@ class PlanFleet:
             "1 when the shard process is alive, else 0",
             labels=("shard",))
         for shard in self.shards:
-            self._m_restarts.set_value(0, shard=str(shard.index))
+            self._m_restarts.inc(0, shard=str(shard.index))
             self._m_up.set(0, shard=str(shard.index))
 
     def _observe_shards(self) -> None:

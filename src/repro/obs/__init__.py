@@ -10,9 +10,12 @@ Three pieces, each usable on its own:
 * :mod:`repro.obs.registry` — a labelled metrics registry (counters,
   gauges, fixed-bucket histograms) with snapshot / label-wise merge,
   rendered to Prometheus text exposition by :mod:`repro.obs.expo`.
+  The service, the socket server, the plan cache and its disk tier
+  count every event live into registries; a shard's ``metrics`` RPC
+  serves their union.
 * :mod:`repro.obs.scrape` — ``repro obs scrape`` / ``repro obs report``:
-  poll every shard's ``metrics`` RPC, merge, render, and cross-check the
-  registry against the ``stats`` RPC view read from it.
+  poll every shard's ``metrics`` RPC, merge, render, and check the
+  cache's tier-split hits against its hit lookups.
 """
 
 from repro.obs.registry import (

@@ -78,11 +78,9 @@ class Counter(_Metric):
     """Monotonically increasing count, optionally labelled.
 
     Integer increments stay integers, so counts remain exact through
-    ``snapshot`` -> JSON -> :func:`merge_snapshots`.  ``set_value``
-    exists for *bridging*: subsystems that still keep their own
-    counters (``CacheStats``, ``RemoteStats``...) export the current
-    absolute value at snapshot time instead of double-counting on the
-    hot path.
+    ``snapshot`` -> JSON -> :func:`merge_snapshots`.  Counters are only
+    ever incremented where the event happens; a subsystem that wants a
+    series to exist before its first event seeds it with ``inc(0)``.
     """
 
     type = "counter"
@@ -97,11 +95,6 @@ class Counter(_Metric):
         key = _label_key(self.label_names, labels, self.name)
         with self._lock:
             self._values[key] = self._values.get(key, 0) + value
-
-    def set_value(self, value: float, **labels: object) -> None:
-        key = _label_key(self.label_names, labels, self.name)
-        with self._lock:
-            self._values[key] = value
 
     def value(self, **labels: object) -> float:
         key = _label_key(self.label_names, labels, self.name)

@@ -1,28 +1,27 @@
-"""Fleet scraping: poll every shard's ``metrics``/``ping``/``stats``
-RPCs and merge them into one labelled view.
+"""Fleet scraping: poll every shard's ``ping`` and ``metrics`` RPCs and
+merge them into one labelled view.
 
 The per-shard :class:`~repro.service.rpc.PlanServiceServer` exposes a
 ``metrics`` RPC returning a registry snapshot (see
-:mod:`repro.obs.registry`).  This module is the puller side: connect to
-each address, collect the snapshot plus the shard's identity (pid,
-shard index, restarts, uptime, cache dir — all from the extended
-``ping``), stamp every series with a ``shard`` label, and merge
-label-wise into a fleet-wide snapshot that renders as Prometheus text
-exposition (:mod:`repro.obs.expo`) or a human health report.
+:mod:`repro.obs.registry`) — the shard's one telemetry read: service,
+wire, cache and disk-tier series, all counted live.  This module is the
+puller side: connect to each address, collect the snapshot plus the
+shard's identity (pid, shard index, restarts, uptime, cache dir — all
+from the extended ``ping``), stamp every series with a ``shard`` label,
+and merge label-wise into a fleet-wide snapshot that renders as
+Prometheus text exposition (:mod:`repro.obs.expo`) or a human health
+report.
 
 :func:`check_scrape` asserts the consistency the acceptance tests (and
-the CI obs-smoke job) rely on.  The stats RPC's ``service`` section is a
-view of the shard's metrics registry
-(:func:`~repro.service.stats.service_view`), so its hit and shed counts
-must equal the registry series they are read from — a check of the
-view.  Independently, the cache's tier-split hits must sum to its
-tier-blind lookup counter.
+the CI obs-smoke job) rely on: the cache's tier-split hits must sum to
+its tier-blind lookup counter.  :func:`render_report` reads the service
+counters through :func:`~repro.service.stats.service_view`.
 
 .. note::
-   The planning-service client is imported *inside* the scrape
-   functions: :mod:`repro.service.rpc` imports the metrics registry
-   (and thereby this package), so a module-level import here would
-   close an import cycle.
+   The planning-service modules are imported *inside* the functions
+   that need them: :mod:`repro.service.rpc` imports the metrics
+   registry (and thereby this package), so a module-level import here
+   would close an import cycle.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class ShardScrape:
     error: str = ""
     ping: Dict = field(default_factory=dict)
     metrics: Dict = field(default_factory=dict)
-    stats: Dict = field(default_factory=dict)
 
     @property
     def shard_label(self) -> str:
@@ -75,10 +73,9 @@ class ShardScrape:
 def scrape_fleet(
     addresses: Sequence[str],
     timeout_s: float = 10.0,
-    include_stats: bool = True,
 ) -> List[ShardScrape]:
-    """Poll ``ping`` + ``metrics`` (+ ``stats``) on every
-    address; returns one :class:`ShardScrape` per address, in order.
+    """Poll ``ping`` + ``metrics`` on every address; returns one
+    :class:`ShardScrape` per address, in order.
 
     Unreachable shards come back ``ok=False`` with the error recorded
     instead of raising — a scraper observes partial fleets.
@@ -99,8 +96,6 @@ def scrape_fleet(
                 for key in ("pid", "shard_index", "restarts",
                             "uptime_ticks", "cache_dir"):
                     scrape.ping.setdefault(key, response.get(key))
-                if include_stats:
-                    scrape.stats = client.call("stats")
             scrape.ok = True
         except Exception as exc:  # noqa: BLE001 — partial fleets are fine
             scrape.error = f"{type(exc).__name__}: {exc}"
@@ -140,16 +135,9 @@ def check_scrape(scrapes: Sequence[ShardScrape],
     """Cross-subsystem consistency problems, one message per violation
     (empty list == healthy scrape).
 
-    Checked per reachable shard:
-
-    * the stats RPC's view of the service hits matches the registry —
-      ``repro_service_cache_hits_total{tier="memory"|"disk"}`` equals
-      ``stats.service.memory_hits`` / ``disk_hits``;
-    * cache-side tier split sums to the tier-blind lookup counter —
-      ``repro_cache_hits_total{tier="memory"} + {tier="disk"}`` equals
-      ``repro_cache_lookups_total{result="hit"}``;
-    * the view's deadline-shed count matches the registry —
-      ``repro_service_shed_total`` equals ``stats.service.shed``.
+    Checked per reachable shard: the cache-side tier split sums to the
+    tier-blind lookup counter — ``repro_cache_hits_total{tier="memory"}
+    + {tier="disk"}`` equals ``repro_cache_lookups_total{result="hit"}``.
 
     With ``client_metrics`` (a client-side registry snapshot, e.g. a
     merged :meth:`~repro.fleet.client.FleetClient.metrics_snapshot`):
@@ -166,30 +154,6 @@ def check_scrape(scrapes: Sequence[ShardScrape],
             problems.append(f"{where}: unreachable: {scrape.error}")
             continue
         metrics = scrape.metrics
-        mem = sample_value(metrics, "repro_service_cache_hits_total",
-                           {"tier": "memory"}, default=0.0)
-        disk = sample_value(metrics, "repro_service_cache_hits_total",
-                            {"tier": "disk"}, default=0.0)
-        service = (scrape.stats or {}).get("service") or {}
-        if service:
-            want_mem = service.get("memory_hits", 0)
-            want_disk = service.get("disk_hits", 0)
-            if not (_approx_equal(mem, want_mem)
-                    and _approx_equal(disk, want_disk)):
-                problems.append(
-                    f"{where}: metrics hit counters (memory={mem:g}, "
-                    f"disk={disk:g}) disagree with the stats RPC view "
-                    f"(memory={want_mem}, disk={want_disk})"
-                )
-        if service:
-            shed = sample_value(metrics, "repro_service_shed_total",
-                                default=0.0)
-            want_shed = service.get("shed", 0)
-            if not _approx_equal(shed, want_shed):
-                problems.append(
-                    f"{where}: shed counter metric ({shed:g}) "
-                    f"disagrees with the stats RPC view ({want_shed})"
-                )
         cache_mem = sample_value(metrics, "repro_cache_hits_total",
                                  {"tier": "memory"})
         cache_disk = sample_value(metrics, "repro_cache_hits_total",
@@ -257,6 +221,8 @@ def render_report(scrapes: Sequence[ShardScrape],
     """Human health summary: one block per shard plus a fleet roll-up;
     with ``client_metrics``, a resilience section (breaker states per
     shard address, retry/failover/degraded/deadline counters)."""
+    from repro.service.stats import service_view
+
     lines: List[str] = []
     totals = {"submitted": 0, "completed": 0, "searches": 0,
               "memory_hits": 0, "disk_hits": 0, "restarts": 0,
@@ -269,12 +235,12 @@ def render_report(scrapes: Sequence[ShardScrape],
             continue
         up += 1
         ping = scrape.ping
-        service = (scrape.stats or {}).get("service") or {}
-        submitted = int(service.get("submitted", 0))
-        completed = int(service.get("completed", 0))
-        searches = int(service.get("searches", 0))
-        memory_hits = int(service.get("memory_hits", 0))
-        disk_hits = int(service.get("disk_hits", 0))
+        service = service_view(scrape.metrics)
+        submitted = service["submitted"]
+        completed = service["completed"]
+        searches = service["searches"]
+        memory_hits = service["memory_hits"]
+        disk_hits = service["disk_hits"]
         restarts = int(ping.get("restarts") or 0)
         hits = memory_hits + disk_hits
         hit_rate = hits / completed if completed else 0.0
@@ -286,10 +252,10 @@ def render_report(scrapes: Sequence[ShardScrape],
             f"{head}  UP pid={ping.get('pid')} uptime={uptime} "
             f"restarts={restarts}"
         )
-        shed = int(service.get("shed", 0))
+        shed = service["shed"]
         lines.append(
-            f"  queue depth {service.get('queue_depth', 0)} "
-            f"(peak {service.get('max_queue_depth', 0)})  "
+            f"  queue depth {service['queue_depth']} "
+            f"(peak {service['max_queue_depth']})  "
             f"submitted {submitted}  completed {completed}  "
             f"searches {searches}  shed {shed}"
         )

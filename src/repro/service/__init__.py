@@ -8,13 +8,14 @@
   errors, wire errors, and the remote-request lifecycle.
 * :mod:`repro.service.stats` — :func:`service_view`, the stats view of
   the request metrics a :class:`PlanService` counts into its registry
-  (counters, queue depth, coalesce rate, latency percentiles), and
-  :class:`RemoteStats` (per-connection wire counters).
+  (counters, queue depth, coalesce rate, latency percentiles).
 * :mod:`repro.service.recal` — per-job recalibration windows + policy.
 * :mod:`repro.service.replica` — DP-replica clients and multi-job
   drivers (including the closed plan→execute→observe loop).
 * :mod:`repro.service.rpc` — :class:`PlanServiceServer`: the service
-  behind a length-prefixed JSON-RPC socket (TCP or Unix).
+  behind a length-prefixed JSON-RPC socket (TCP or Unix), counting its
+  wire series into the service's registry.  Its ``metrics`` method is
+  a shard's one telemetry read: service, cache and disk-tier series.
 * :mod:`repro.service.client` — :class:`PlanServiceClient` /
   :class:`ServiceConnection` / :func:`submit_and_replay`: the wire
   round trip that re-materializes canonical plans onto locally built
@@ -62,7 +63,7 @@ from repro.service.retry import (
 )
 from repro.service.rpc import PlanServiceServer
 from repro.service.service import PREWARM_PRIORITY, PlanService, RegisteredJob
-from repro.service.stats import ConnectionStats, RemoteStats, service_view
+from repro.service.stats import service_view
 
 __all__ = [
     "PlanService",
@@ -73,8 +74,6 @@ __all__ = [
     "RegisteredJob",
     "PlanTicket",
     "service_view",
-    "RemoteStats",
-    "ConnectionStats",
     "ServiceOverloadError",
     "ServiceClosedError",
     "ProtocolError",

@@ -240,9 +240,6 @@ class PlanServiceClient:
     def jobs(self) -> List[str]:
         return list(self.ping().get("jobs", []))
 
-    def stats(self) -> Dict:
-        return self.call("stats")
-
     def save_cache(self, path: Optional[str] = None) -> Dict:
         params = {"path": path} if path else {}
         return self.call("save-cache", params)

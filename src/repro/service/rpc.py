@@ -53,7 +53,7 @@ A client that vanishes mid-search never wedges the service: the
 leader's search still completes (its coalesced *local* waiters get
 their fan-out), the undeliverable response is dropped, and the dead
 connection's registry entries are reaped
-(``RemoteStats.disconnects_mid_request``).  :meth:`PlanServiceServer.
+(``repro_rpc_disconnects_mid_request_total``).  :meth:`PlanServiceServer.
 close` drains deterministically — it waits on every live request's
 ticket before tearing sockets down.
 """
@@ -67,12 +67,13 @@ import stat
 import struct
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.plancache import encode_plan, plan_to_dict, signature_to_dict
 from repro.core.signature import SIGNATURE_VERSION
 from repro.data.batching import GlobalBatch, Microbatch
+from repro.obs.registry import merge_snapshots
 from repro.service.requests import (
     REMOTE_PENDING,
     DeadlineExceededError,
@@ -83,7 +84,7 @@ from repro.service.requests import (
     ServiceOverloadError,
 )
 from repro.service.service import PlanService
-from repro.service.stats import ConnectionStats, RemoteStats, counter_metric
+from repro.service.stats import counter_metric
 from repro.sim.costmodel import CostModel
 from repro.trace.events import Trace, TraceValidationError
 
@@ -114,6 +115,19 @@ ERROR_INTERNAL = "internal"
 #: on a connection that stays usable — and terminal for the request:
 #: clients must not retry or fail over (the budget is spent).
 ERROR_DEADLINE = "deadline"
+
+#: Wire counters, each exported as ``repro_rpc_<name>_total`` into the
+#: served service's registry, beside the frame and byte counts.
+WIRE_COUNTERS = {
+    "connections_opened": "Socket connections accepted",
+    "connections_closed": "Socket connections reaped",
+    "disconnects_mid_request": "Connections lost with a request pending "
+                               "or its reply unsent",
+    "requests": "Requests with a well-formed envelope",
+    "errors": "Requests answered with an error response",
+    "protocol_errors": "Frames or envelopes rejected as protocol "
+                       "violations",
+}
 
 
 # -- frame codec -------------------------------------------------------------
@@ -350,6 +364,15 @@ def parse_address(address) -> Tuple[str, object]:
 # -- server ------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Connection:
+    """One accepted socket client: the id its in-flight requests are
+    keyed by, and its peer address."""
+
+    conn_id: int
+    peer: str = ""
+
+
 class PlanServiceServer:
     """Serves one :class:`PlanService` to socket clients.
 
@@ -401,17 +424,35 @@ class PlanServiceServer:
         self.fault_plan = fault_plan
         self.fault_log = fault_log
         self.started_mono = time.monotonic()
-        self.remote = RemoteStats()
-        #: The service's registry, served by the ``metrics`` RPC.  The
-        #: service's request series and the wire-level ones (frames,
-        #: per-method latency, deadline sheds) are counted live; cache
-        #: and connection totals are bridged in at snapshot time (see
-        #: :meth:`_handle_metrics`).
+        #: The service's registry: the service's request series and the
+        #: wire ones (connections, frames, bytes, per-method latency,
+        #: deadline sheds) are counted live into it.  The ``metrics``
+        #: RPC serves it merged with the cache's and disk tier's.
         self.metrics = service.metrics
         self._m_shed = self.metrics.counter(counter_metric("shed"))
+        self._m_wire = {
+            name: self.metrics.counter(f"repro_rpc_{name}_total", text)
+            for name, text in WIRE_COUNTERS.items()
+        }
         self._m_frames = self.metrics.counter(
             "repro_rpc_frames_total",
             "Wire frames by direction", labels=("direction",))
+        self._m_bytes = self.metrics.counter(
+            "repro_rpc_bytes_total",
+            "Wire bytes by direction", labels=("direction",))
+        self._m_active = self.metrics.gauge(
+            "repro_rpc_connections_active",
+            "Currently connected socket clients")
+        self._m_uptime = self.metrics.gauge(
+            "repro_rpc_uptime_seconds",
+            "Seconds since this server started", agg="max")
+        # Every series exists from the start, at zero.
+        for counter in self._m_wire.values():
+            counter.inc(0)
+        for direction in ("in", "out"):
+            self._m_frames.inc(0, direction=direction)
+            self._m_bytes.inc(0, direction=direction)
+        self._m_active.set(0)
         self._m_method_latency = self.metrics.histogram(
             "repro_rpc_method_latency_seconds",
             "Server-side handler latency per RPC method",
@@ -421,7 +462,8 @@ class PlanServiceServer:
         self._close_lock = threading.Lock()
         self._reg_lock = threading.Lock()
         self._inflight: Dict[Tuple[int, Optional[int]], RemoteRequest] = {}
-        self._connections: Dict[int, Tuple[socket.socket, ConnectionStats]] = {}
+        self._connections: Dict[int, Tuple[socket.socket, Connection]] = {}
+        self._next_conn_id = 0
         self._handler_threads: List[threading.Thread] = []
 
         if uds is not None:
@@ -555,9 +597,12 @@ class PlanServiceServer:
                 return  # listener closed
             peer = addr if isinstance(addr, str) else ":".join(
                 str(part) for part in addr[:2])
-            conn = self.remote.open_connection(peer=peer or "uds")
             with self._reg_lock:
+                conn = Connection(self._next_conn_id, peer or "uds")
+                self._next_conn_id += 1
                 self._connections[conn.conn_id] = (sock, conn)
+            self._m_wire["connections_opened"].inc()
+            self._m_active.inc()
             thread = threading.Thread(
                 target=self._serve_connection, args=(sock, conn),
                 name=f"plan-rpc-conn-{conn.conn_id}", daemon=True,
@@ -570,8 +615,7 @@ class PlanServiceServer:
             self._handler_threads.append(thread)
             thread.start()
 
-    def _try_send(self, sock: socket.socket, conn: ConnectionStats,
-                  payload: Dict) -> bool:
+    def _try_send(self, sock: socket.socket, payload: Dict) -> bool:
         fault = (self.fault_plan.decide("rpc.response")
                  if self.fault_plan is not None else None)
         if fault is not None:
@@ -593,20 +637,19 @@ class PlanServiceServer:
                 data[HEADER.size + len(data) // 2] ^= 0xFF
                 try:
                     sock.sendall(bytes(data))
-                    conn.bytes_out += len(data)
+                    self._m_bytes.inc(len(data), direction="out")
                 except OSError:
                     pass
                 return False
         try:
-            conn.bytes_out += send_frame(sock, payload)
-            conn.responses += 1
+            self._m_bytes.inc(send_frame(sock, payload), direction="out")
             self._m_frames.inc(direction="out")
             return True
         except OSError:
             return False
 
     def _serve_connection(self, sock: socket.socket,
-                          conn: ConnectionStats) -> None:
+                          conn: Connection) -> None:
         shutdown_requested = False
         send_failed = False
         try:
@@ -614,14 +657,14 @@ class PlanServiceServer:
                 try:
                     sized = recv_frame_sized(sock, self.max_frame_bytes)
                 except ProtocolError as exc:
-                    conn.protocol_errors += 1
-                    self._try_send(sock, conn, error_response(
+                    self._m_wire["protocol_errors"].inc()
+                    self._try_send(sock, error_response(
                         None, ERROR_PROTOCOL, str(exc)))
                     return
                 if sized is None:
                     return  # client hung up between frames
                 message, wire_bytes = sized
-                conn.bytes_in += wire_bytes
+                self._m_bytes.inc(wire_bytes, direction="in")
                 self._m_frames.inc(direction="in")
                 received_mono = time.monotonic()
                 fault = (self.fault_plan.decide("rpc.recv")
@@ -636,30 +679,30 @@ class PlanServiceServer:
                 try:
                     check_envelope(message)
                 except ProtocolError as exc:
-                    conn.protocol_errors += 1
-                    self._try_send(sock, conn, error_response(
+                    self._m_wire["protocol_errors"].inc()
+                    self._try_send(sock, error_response(
                         message.get("id"), ERROR_PROTOCOL, str(exc)))
                     return
                 request_id = message.get("id")
                 method = message.get("method")
                 params = message.get("params")
-                conn.requests += 1
+                self._m_wire["requests"].inc()
                 if not isinstance(params, dict):
                     params = {}
                 if not isinstance(method, str):
                     # Guard before the dict lookup: an unhashable
                     # method (a list, say) must be a clean protocol
                     # error, not a TypeError killing this thread.
-                    conn.protocol_errors += 1
-                    self._try_send(sock, conn, error_response(
+                    self._m_wire["protocol_errors"].inc()
+                    self._try_send(sock, error_response(
                         request_id, ERROR_PROTOCOL,
                         f"method must be a string, got "
                         f"{type(method).__name__}"))
                     return
                 handler = self._METHODS.get(method)
                 if handler is None:
-                    conn.errors += 1
-                    if not self._try_send(sock, conn, error_response(
+                    self._m_wire["errors"].inc()
+                    if not self._try_send(sock, error_response(
                             request_id, ERROR_UNSUPPORTED,
                             f"unknown method {method!r}")):
                         send_failed = True
@@ -689,34 +732,34 @@ class PlanServiceServer:
                                      trace_ctx, deadline_s)
                     response = ok_response(request_id, result)
                 except DeadlineExceededError as exc:
-                    conn.errors += 1
+                    self._m_wire["errors"].inc()
                     response = error_response(request_id, ERROR_DEADLINE,
                                               str(exc))
                 except ServiceOverloadError as exc:
-                    conn.errors += 1
+                    self._m_wire["errors"].inc()
                     response = error_response(request_id, ERROR_OVERLOAD,
                                               str(exc))
                 except ServiceClosedError as exc:
-                    conn.errors += 1
+                    self._m_wire["errors"].inc()
                     response = error_response(request_id, ERROR_CLOSED,
                                               str(exc))
                 except ProtocolError as exc:
-                    conn.protocol_errors += 1
-                    self._try_send(sock, conn, error_response(
+                    self._m_wire["protocol_errors"].inc()
+                    self._try_send(sock, error_response(
                         request_id, ERROR_PROTOCOL, str(exc)))
                     return
                 except (RemotePlanError, KeyError, TimeoutError,
                         TraceValidationError) as exc:
-                    conn.errors += 1
+                    self._m_wire["errors"].inc()
                     response = error_response(request_id, ERROR_PLAN,
                                               str(exc) or repr(exc))
                 except Exception as exc:  # noqa: BLE001 — never wedge
-                    conn.errors += 1
+                    self._m_wire["errors"].inc()
                     response = error_response(request_id, ERROR_INTERNAL,
                                               repr(exc))
                 self._m_method_latency.observe(
                     time.perf_counter() - handler_started, method=method)
-                sent = self._try_send(sock, conn, response)
+                sent = self._try_send(sock, response)
                 # A submit stays registered until its reply is written
                 # (or the write failed): close()'s drain must not see an
                 # empty in-flight set and shut the socket mid-reply.
@@ -734,7 +777,7 @@ class PlanServiceServer:
                 # itself.
                 threading.Thread(target=self.close, daemon=True).start()
 
-    def _reap_connection(self, conn: ConnectionStats, sock: socket.socket,
+    def _reap_connection(self, conn: Connection, sock: socket.socket,
                          send_failed: bool) -> int:
         """Drop the connection's registry entries; count mid-request
         disconnects (a pending entry, or a response we couldn't send)."""
@@ -747,8 +790,10 @@ class PlanServiceServer:
                 request.finish(abandoned=pending)
                 abandoned += int(pending)
             self._connections.pop(conn.conn_id, None)
-        self.remote.close_connection(
-            conn, mid_request=send_failed or abandoned > 0)
+        self._m_wire["connections_closed"].inc()
+        self._m_active.inc(-1)
+        if send_failed or abandoned > 0:
+            self._m_wire["disconnects_mid_request"].inc()
         try:
             sock.close()
         except OSError:
@@ -790,7 +835,7 @@ class PlanServiceServer:
             "cache_dir": cache_dir,
         }
 
-    def _handle_ping(self, params: Dict, conn: ConnectionStats,
+    def _handle_ping(self, params: Dict, conn: Connection,
                      request_id, trace_ctx=None, deadline_s=None) -> Dict:
         return {
             "format": WIRE_FORMAT,
@@ -800,7 +845,7 @@ class PlanServiceServer:
             **self._identity(),
         }
 
-    def _handle_submit(self, params: Dict, conn: ConnectionStats,
+    def _handle_submit(self, params: Dict, conn: Connection,
                        request_id, trace_ctx=None, deadline_s=None) -> Dict:
         """Plan one batch: ``params`` carry ``job``, ``signature_version``,
         the batch's ``microbatches`` and optionally ``replica``,
@@ -928,7 +973,7 @@ class PlanServiceServer:
             "label": plan.label or f"dip-{strategy}",
         })
 
-    def _handle_prewarm(self, params: Dict, conn: ConnectionStats,
+    def _handle_prewarm(self, params: Dict, conn: Connection,
                         request_id, trace_ctx=None, deadline_s=None) -> Dict:
         job = self._job(params)
         batch = batch_from_dict(params)
@@ -936,7 +981,7 @@ class PlanServiceServer:
                                       replica=int(params.get("replica", -1)))
         return {"accepted": ticket is not None}
 
-    def _handle_observe(self, params: Dict, conn: ConnectionStats,
+    def _handle_observe(self, params: Dict, conn: Connection,
                         request_id, trace_ctx=None, deadline_s=None) -> Dict:
         job = self._job(params)
         trace = Trace.from_dict(params.get("trace"))
@@ -961,40 +1006,23 @@ class PlanServiceServer:
                 self.service.job(job).planner.cost_model)
         return {"event": payload}
 
-    def _handle_stats(self, params: Dict, conn: ConnectionStats,
-                      request_id, trace_ctx=None, deadline_s=None) -> Dict:
-        cache = self.service.cache
-        cache_payload = dict(asdict(cache.stats), entries=len(cache))
-        if cache.disk_tier is not None:
-            cache_payload["disk"] = cache.disk_tier.snapshot()
-        return {
-            "service": self.service.stats(),
-            "cache": cache_payload,
-            "remote": self.remote.snapshot(),
-            "jobs": self.service.jobs,
-            "pid": os.getpid(),
-        }
-
-    def _handle_metrics(self, params: Dict, conn: ConnectionStats,
+    def _handle_metrics(self, params: Dict, conn: Connection,
                         request_id, trace_ctx=None, deadline_s=None) -> Dict:
-        """Snapshot every metric this server knows about.
+        """Every metric of this shard: the service's registry (request
+        and wire series) merged with the cache's and its disk tier's.
+        All three count live, and their names do not overlap, so the
+        merge is a union; only uptime and the occupancy gauges are read
+        here."""
+        self._m_uptime.set(time.monotonic() - self.started_mono)
+        snapshots = [self.metrics.snapshot()]
+        cache = self.service.cache
+        if cache is not None:
+            snapshots.append(cache.metrics_snapshot())
+            if hasattr(cache.disk_tier, "metrics_snapshot"):
+                snapshots.append(cache.disk_tier.metrics_snapshot())
+        return {"metrics": merge_snapshots(snapshots), **self._identity()}
 
-        Service and wire-level series are counted live in
-        ``self.metrics``; the cache and remote subsystems keep counting
-        in their own stats objects and are bridged in with absolute
-        values here, so repeated scrapes never double-count.
-        """
-        registry = self.metrics
-        if self.service.cache is not None:
-            self.service.cache.export_metrics(registry)
-        self.remote.export_metrics(registry)
-        registry.gauge(
-            "repro_rpc_uptime_seconds",
-            "Seconds since this server started", agg="max",
-        ).set(time.monotonic() - self.started_mono)
-        return {"metrics": registry.snapshot(), **self._identity()}
-
-    def _handle_save_cache(self, params: Dict, conn: ConnectionStats,
+    def _handle_save_cache(self, params: Dict, conn: Connection,
                            request_id, trace_ctx=None, deadline_s=None) -> Dict:
         path = params.get("path") or self.cache_path
         if not path:
@@ -1005,7 +1033,7 @@ class PlanServiceServer:
         saved = self.service.cache.save(path)
         return {"path": saved, "entries": len(self.service.cache)}
 
-    def _handle_shutdown(self, params: Dict, conn: ConnectionStats,
+    def _handle_shutdown(self, params: Dict, conn: Connection,
                          request_id, trace_ctx=None, deadline_s=None) -> Dict:
         return {"closing": True}
 
@@ -1014,7 +1042,6 @@ class PlanServiceServer:
         "submit": _handle_submit,
         "prewarm": _handle_prewarm,
         "observe": _handle_observe,
-        "stats": _handle_stats,
         "metrics": _handle_metrics,
         "save-cache": _handle_save_cache,
         "shutdown": _handle_shutdown,

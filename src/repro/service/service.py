@@ -161,7 +161,6 @@ class PlanService:
             waiters ride along for free).
         plan_cache: Shared cache; built internally when omitted.
         cache_size: Capacity of the internally built cache.
-        coalesce: Enable in-flight request coalescing.
         recalibration: Online-recalibration policy applied to every
             registered job; ``None`` disables the loop.
         aging_s: Priority-aging rate — seconds of queueing that offset
@@ -180,7 +179,6 @@ class PlanService:
         max_queue: int = 64,
         plan_cache: Optional[PlanCache] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        coalesce: bool = True,
         recalibration: Optional[RecalibrationPolicy] = None,
         aging_s: Optional[float] = None,
         clock=time.monotonic,
@@ -197,7 +195,6 @@ class PlanService:
             capacity=cache_size
         )
         self.max_queue = max_queue
-        self.coalesce = coalesce
         self.recalibration = recalibration
         #: The one store of the service's request telemetry (and of
         #: the wire series when a server fronts it); read it through
@@ -425,7 +422,7 @@ class PlanService:
                 # sibling replica while this submit was blocked on
                 # queue space (the exact backpressure regime coalescing
                 # exists for).
-                if digest is not None and self.coalesce:
+                if digest is not None:
                     pending = self._pending.get(digest)
                     if pending is not None:
                         pending.waiters.append((ticket, job, prepared))
@@ -469,7 +466,7 @@ class PlanService:
             self._seq += 1
             heapq.heappush(self._heap, (entry.sort_key(self.aging_s), entry))
             self._queued += 1
-            if digest is not None and self.coalesce:
+            if digest is not None:
                 self._pending[digest] = entry
             self._queue_changed()
             self._not_empty.notify()
@@ -491,10 +488,9 @@ class PlanService:
         cache = job.planner.cache
         if cache is None:
             return False
-        if self.coalesce:
-            with self._mutex:
-                if digest in self._pending:
-                    return False
+        with self._mutex:
+            if digest in self._pending:
+                return False
         job.begin_search()
         try:
             probe_s = time.monotonic()

@@ -11,9 +11,6 @@ provides:
   interval memory constraints: a greedy warm start certified against a
   per-clique LP bound at the root, with best-first branch-and-bound
   (relative-gap early termination) for instances it cannot certify.
-* :mod:`repro.solver.scipy_backend` — the same problem via
-  ``scipy.optimize.milp`` (HiGHS), used for cross-checking and as the
-  "commercial solver" stand-in of the Fig. 12 scalability baseline.
 * :mod:`repro.solver.monolithic` — the full-pipeline monolithic ILP
   formulation whose exponential blow-up Fig. 12 demonstrates.
 """

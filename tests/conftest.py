@@ -140,8 +140,8 @@ def t2v_graph(tiny_t2v, small_cluster, parallel2, cost_model):
 
 @pytest.fixture
 def service_snapshot():
-    """Factory for one shard's registry snapshot as a stats RPC caller
-    receives it (JSON round trip): a fresh :class:`PlanService`'s
+    """Factory for one shard's registry snapshot as a ``metrics`` RPC
+    caller receives it (JSON round trip): a fresh :class:`PlanService`'s
     metrics after ``counts`` (view name -> increment, ``memory_hits`` /
     ``disk_hits`` included), observed ``latencies`` / ``waits`` and the
     given queue gauges."""

@@ -1,8 +1,8 @@
-"""MILP backend via ``scipy.optimize.milp`` (HiGHS).
+"""Test oracle: the per-rank memory problem via ``scipy.optimize.milp``
+(HiGHS).
 
-Used to cross-check the hand-rolled branch-and-bound on the per-rank
-memory problem, and as the commercial-solver stand-in ("Gurobi" role) in
-the Fig. 12 search-scalability comparison.
+Cross-checks the hand-rolled branch-and-bound of
+:mod:`repro.solver.bnb` in ``test_solvers.py``.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.core.cachetier import (
+    OPS_METRIC,
     TIER_FILE_FORMAT,
     TIER_FILE_VERSION,
     TIER_SUFFIX,
@@ -28,6 +29,7 @@ from repro.core.searcher import ScheduleSearcher
 from repro.core.signature import compute_signature
 from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch
+from repro.obs.registry import sample_value
 
 
 def controlled_batch(image_counts, start_index=0):
@@ -35,6 +37,11 @@ def controlled_batch(image_counts, start_index=0):
         controlled_vlm_microbatch(index=start_index + i, num_images=count)
         for i, count in enumerate(image_counts)
     ])
+
+
+def ops(tier, op):
+    """The tier's ``repro_disk_tier_ops_total{op=...}`` count."""
+    return sample_value(tier.metrics.snapshot(), OPS_METRIC, {"op": op})
 
 
 @pytest.fixture
@@ -67,8 +74,8 @@ class TestDiskTierMechanics:
         loaded = tier.get(plan.signature.digest)
         assert loaded is not None
         assert plan_to_dict(loaded) == plan_to_dict(plan)
-        assert tier.stats.stores == 1
-        assert tier.stats.hits == 1
+        assert ops(tier, "stores") == 1
+        assert ops(tier, "hits") == 1
 
     def test_content_addressed_layout(self, tier, make_planner):
         plan = self._searched_plan(make_planner, controlled_batch([4, 8]))
@@ -78,8 +85,8 @@ class TestDiskTierMechanics:
 
     def test_missing_digest_is_a_miss(self, tier):
         assert tier.get("ab" * 32) is None
-        assert tier.stats.misses == 1
-        assert tier.stats.errors == 0
+        assert ops(tier, "misses") == 1
+        assert ops(tier, "errors") == 0
 
     def test_digest_is_path_validated(self, tier):
         with pytest.raises(ValueError):
@@ -91,7 +98,7 @@ class TestDiskTierMechanics:
         with open(path, "w") as f:
             f.write("{not json")
         assert tier.get(plan.signature.digest) is None
-        assert tier.stats.errors == 1
+        assert ops(tier, "errors") == 1
 
     def test_foreign_format_is_a_tolerated_miss(self, tier, make_planner):
         plan = self._searched_plan(make_planner, controlled_batch([4, 8]))
@@ -118,7 +125,7 @@ class TestDiskTierMechanics:
         assert tier.invalidate_contexts({context}) == 1
         assert tier.digests() == []
         assert tier.get(plan.signature.digest) is None
-        assert tier.stats.invalidations == 1
+        assert ops(tier, "invalidations") == 1
 
     def test_invalidate_other_context_keeps_entry(self, tier, make_planner):
         plan = self._searched_plan(make_planner, controlled_batch([4, 8]))
@@ -129,9 +136,9 @@ class TestDiskTierMechanics:
     def test_clear_and_snapshot(self, tier, make_planner):
         plan = self._searched_plan(make_planner, controlled_batch([4, 8]))
         tier.put(plan)
-        snap = tier.snapshot()
-        assert snap["entries"] == 1
-        assert snap["stores"] == 1
+        snap = tier.metrics_snapshot()
+        assert sample_value(snap, "repro_disk_tier_entries") == 1
+        assert sample_value(snap, OPS_METRIC, {"op": "stores"}) == 1
         assert tier.clear() == 1
         assert tier.digests() == []
 
@@ -214,13 +221,13 @@ class TestTierParity:
         # Promotions are reads, not stores: the tier's files are the
         # original three, untouched.
         assert reader.cache.stats.disk_hits == 3
-        assert tier.stats.stores == 3
+        assert ops(tier, "stores") == 3
 
     def test_write_through_on_store(self, tier, make_planner):
         planner = make_planner(disk_tier=tier)
         planner.plan_iteration(controlled_batch([4, 8]))
         assert len(tier.digests()) == 1
-        assert tier.stats.stores == 1
+        assert ops(tier, "stores") == 1
 
     def test_near_miss_stays_memory_only(self, tier, make_planner):
         writer = make_planner(disk_tier=tier)

@@ -26,12 +26,13 @@ from repro.chaos import (
     SCENARIOS,
     scenario_by_name,
 )
-from repro.core.cachetier import DiskCacheTier
+from repro.core.cachetier import OPS_METRIC, DiskCacheTier
 from repro.core.plancache import PlanCache
 from repro.core.planner import OnlinePlanner
 from repro.core.searcher import ScheduleSearcher
 from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch
+from repro.obs.registry import sample_value
 
 
 def controlled_batch(image_counts, start_index=0):
@@ -39,6 +40,11 @@ def controlled_batch(image_counts, start_index=0):
         controlled_vlm_microbatch(index=start_index + i, num_images=count)
         for i, count in enumerate(image_counts)
     ])
+
+
+def ops(tier, op):
+    """The tier's ``repro_disk_tier_ops_total{op=...}`` count."""
+    return sample_value(tier.metrics.snapshot(), OPS_METRIC, {"op": op})
 
 
 @pytest.fixture
@@ -253,7 +259,7 @@ class TestDiskTierFaults:
         )
         assert faulted.put(plan) is None
         assert len(faulted) == 0
-        assert faulted.stats.errors == 1
+        assert ops(faulted, "errors") == 1
 
     def test_get_fault_is_a_counted_miss(self, tmp_path, make_planner):
         directory = tmp_path / "tier"
@@ -268,8 +274,8 @@ class TestDiskTierFaults:
                 FaultSpec(site="disk.get", kind="error", rate=1.0),)),
         )
         assert faulted.get(digest) is None
-        assert faulted.stats.misses == 1
-        assert faulted.stats.errors == 1
+        assert ops(faulted, "misses") == 1
+        assert ops(faulted, "errors") == 1
         # The file itself is intact — only the read was faulted.
         assert clean.get(digest) is not None
 
@@ -290,4 +296,4 @@ class TestDiskTierFaults:
         planner = make_planner(disk_tier=dead)
         assert planner.plan_iteration(batch).total_ms == want
         assert len(dead) == 0
-        assert dead.stats.errors > 0
+        assert ops(dead, "errors") > 0

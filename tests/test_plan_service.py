@@ -145,15 +145,6 @@ class TestCoalescing:
         assert service.queue_depth == 2
         service.close()
 
-    def test_coalesce_disabled(self, tiny_vlm, small_cluster, parallel2,
-                               cost_model):
-        service = make_service(tiny_vlm, small_cluster, parallel2, cost_model,
-                               coalesce=False)
-        service.submit("vlm", controlled_batch([4, 8]))
-        service.submit("vlm", controlled_batch([4, 8]))
-        assert service.queue_depth == 2
-        service.close()
-
 
 class TestAdmissionControl:
     def test_full_queue_rejects(self, tiny_vlm, small_cluster, parallel2,

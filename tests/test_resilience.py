@@ -10,7 +10,7 @@ propagation, degraded-mode local planning, launcher accounting.
 * **Deadlines** — a spent budget raises the typed
   :class:`DeadlineExceededError` client-side before send, is shed
   server-side before dispatch and worker-side before search, and the
-  shed count reaches both the stats RPC and the metrics registry.
+  shed count reaches the metrics registry and its stats view.
 * **Degraded mode** — when every shard in a signature's preference
   list is down or breaker-open, the client plans locally: flagged
   ``degraded``, routed to the ``"local"`` sentinel, makespan

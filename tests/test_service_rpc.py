@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.core.plancache import cache_view
 from repro.core.planner import OnlinePlanner
 from repro.core.searcher import ScheduleSearcher
 from repro.core.signature import SIGNATURE_VERSION
@@ -31,6 +32,7 @@ from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch
 from repro.data.workload import vlm_workload
 from repro.fleet.client import FleetClient, drive_fleet
+from repro.obs.registry import sample_value
 from repro.obs.tracing import RequestTracer, spans_for_trace
 from repro.service import (
     OUTCOME_COALESCED,
@@ -58,6 +60,7 @@ from repro.service.rpc import (
     request_envelope,
     send_frame,
 )
+from repro.service.stats import service_view
 from repro.sim.reference import ReferenceCostModel
 
 
@@ -97,6 +100,15 @@ def serving(tmp_path, make_planner):
     for service, server in started:
         server.close(timeout=10.0)
         service.close()
+
+
+def wire(server, name):
+    """The server's wire counter ``repro_rpc_<name>_total``."""
+    return server.metrics.counter(f"repro_rpc_{name}_total").value()
+
+
+def connections_active(server):
+    return server.metrics.gauge("repro_rpc_connections_active").value()
 
 
 def raw_socket(server):
@@ -197,7 +209,7 @@ class TestServerRobustness:
             pass
         sock.close()
         self.assert_alive(server)
-        assert server.remote.snapshot()["protocol_errors"] >= 1
+        assert wire(server, "protocol_errors") >= 1
 
     def test_oversized_frame_reported_and_closed(self, serving):
         _service, server = serving()
@@ -209,7 +221,7 @@ class TestServerRobustness:
         assert recv_frame(sock) is None  # server closed after violation
         sock.close()
         self.assert_alive(server)
-        assert server.remote.snapshot()["protocol_errors"] >= 1
+        assert wire(server, "protocol_errors") >= 1
 
     def test_wrong_envelope_version_rejected(self, serving):
         _service, server = serving()
@@ -252,7 +264,7 @@ class TestServerRobustness:
         assert recv_frame(sock) is None  # connection closed after
         sock.close()
         self.assert_alive(server)
-        assert server.remote.snapshot()["protocol_errors"] >= 1
+        assert wire(server, "protocol_errors") >= 1
 
     def test_signature_version_mismatch_is_protocol_error(self, serving):
         _service, server = serving(num_workers=1)
@@ -423,8 +435,7 @@ class TestCrossProcessPlanning:
             assert len(makespans) == 3
             assert max(makespans) - min(makespans) < 1e-9
         assert service.stats()["searches"] == 2  # one per distinct batch
-        stats = server.remote.snapshot()
-        assert stats["connections_opened"] >= 3
+        assert wire(server, "connections_opened") >= 3
 
     def test_signature_mismatch_detected(self, serving, make_planner,
                                          tiny_vlm, small_cluster, parallel2):
@@ -523,11 +534,12 @@ class TestCrossProcessPlanning:
         remote.run()
         remote.close()
         with PlanServiceClient(server.address) as client:
-            stats = client.stats()
-            assert stats["service"]["completed"] == 1
-            # The service section keeps every key it ever had, minus
-            # the retired latency/wait sample lists.
-            assert set(stats["service"]) == {
+            metrics = client.call("metrics")["metrics"]
+            service_stats = service_view(metrics)
+            assert service_stats["completed"] == 1
+            # The service view keeps every key it ever had, minus the
+            # retired latency/wait sample lists.
+            assert set(service_stats) == {
                 "submitted", "rejected", "completed", "failed", "shed",
                 "coalesced", "searches", "replays", "memory_hits",
                 "disk_hits", "prewarms", "recalibrations",
@@ -535,9 +547,10 @@ class TestCrossProcessPlanning:
                 "max_queue_depth", "coalesce_rate", "plan_latency_p50_s",
                 "plan_latency_p99_s", "queue_wait_p50_s",
                 "queue_wait_p99_s"}
-            assert stats["cache"]["entries"] == 1
-            assert stats["jobs"] == ["vlm"]
-            assert stats["remote"]["connections_opened"] >= 1
+            assert cache_view(metrics).entries == 1
+            assert client.jobs() == ["vlm"]
+            assert sample_value(
+                metrics, "repro_rpc_connections_opened_total") >= 1
             with pytest.raises(RemotePlanError, match="cache path"):
                 client.save_cache()  # server started without cache_path
             target = str(tmp_path / "saved_cache.json")
@@ -693,12 +706,10 @@ class TestDisconnectAndDrain:
         while server.inflight_requests() and time.monotonic() < deadline:
             time.sleep(0.005)
         assert not server.inflight_requests()
-        while (server.remote.snapshot()["connections_active"]
-               and time.monotonic() < deadline):
+        while connections_active(server) and time.monotonic() < deadline:
             time.sleep(0.005)
-        remote_stats = server.remote.snapshot()
-        assert remote_stats["disconnects_mid_request"] == 1
-        assert remote_stats["connections_active"] == 0
+        assert wire(server, "disconnects_mid_request") == 1
+        assert connections_active(server) == 0
 
     def test_close_drains_inflight_request(self, serving, make_planner):
         """Server close waits for the in-flight plan and delivers it.
@@ -759,11 +770,11 @@ class TestDisconnectAndDrain:
         release = threading.Event()
         original_send = server._try_send
 
-        def held_send(sock, conn, payload):
+        def held_send(sock, payload):
             if "plan" in (payload.get("result") or {}):
                 writing.set()
                 assert release.wait(30), "the held write was never released"
-            return original_send(sock, conn, payload)
+            return original_send(sock, payload)
 
         server._try_send = held_send
         batch = controlled_batch([5, 7])
@@ -803,9 +814,7 @@ class TestDisconnectAndDrain:
         client.ping()
         client.close()
         deadline = time.monotonic() + 10
-        while (server.remote.snapshot()["connections_active"]
-               and time.monotonic() < deadline):
+        while connections_active(server) and time.monotonic() < deadline:
             time.sleep(0.005)
-        stats = server.remote.snapshot()
-        assert stats["disconnects_mid_request"] == 0
-        assert stats["connections_closed"] == 1
+        assert wire(server, "disconnects_mid_request") == 0
+        assert wire(server, "connections_closed") == 1

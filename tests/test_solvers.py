@@ -14,7 +14,7 @@ from repro.solver.bnb import (
     solve_mc_interval,
 )
 from repro.solver.mckp import mckp_min_latency
-from repro.solver.scipy_backend import HAVE_MILP, solve_mc_interval_milp
+from milp_oracle import HAVE_MILP, solve_mc_interval_milp
 
 
 def brute_force_mckp(latencies, memories, limit):
