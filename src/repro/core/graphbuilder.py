@@ -14,17 +14,31 @@ Dataflow encoded here (matching Fig. 5c of the paper):
 
 Stages are emitted in a topological order (uid ascending), which the
 :class:`repro.core.stages.IterationGraph` constructor verifies.
+
+Each microbatch's stages and pairs form one contiguous block whose
+dependency edges stay inside it, and the block is a pure function of the
+microbatch's shape (its metadata without the index).  Given a
+:class:`~repro.core.signature.BlockMemo`, the builder records a repeated
+shape's block once as a block-relative :class:`GraphFragment` and
+assembles later sightings from it instead of re-emitting them.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
-from repro.data.batching import GlobalBatch, Microbatch, iteration_flops, module_workload
+from repro.data.batching import (
+    GlobalBatch,
+    Microbatch,
+    microbatch_total_flops,
+    module_workload,
+)
 from repro.models.flops import boundary_p2p_bytes, training_state_bytes
 from repro.models.lmm import LMMArchitecture
 from repro.core.partitioner import ModalityPartitioner, PartitionPlan
+from repro.core.signature import BlockMemo, shape_key
 from repro.core.stages import (
     Direction,
     IterationGraph,
@@ -41,6 +55,34 @@ MEMORY_UTILIZATION = 0.92
 #: Under decoupled backward, the input-gradient (dgrad) share of the
 #: backward latency; the remainder is the deferrable weight gradient.
 DGRAD_SHARE = 0.55
+
+
+@dataclass(frozen=True)
+class GraphFragment:
+    """One microbatch shape's block, with block-relative identifiers.
+
+    Attributes:
+        keys: The block's distinct segment-key fields, ``(module,
+            sub_index, chunk, direction)``; the microbatch index is
+            supplied at assembly.
+        stages: Per stage, in emission order: ``(key slot, rank, pair
+            offset, dependency offsets, p2p bytes, latency share,
+            releases memory)``.
+        pairs: Per pair, in emission order: ``(module, sub_index, chunk,
+            rank, num_layers, cost, instances, seq, context, default
+            candidate)``.
+        flops: The microbatch's train-step FLOPs.
+
+    Everything here is immutable and shared by every graph assembled
+    from the fragment (the :class:`StageCost` and
+    :class:`StrategyCandidate` objects included); the stage and pair
+    objects, which searches mutate, are built fresh each time.
+    """
+
+    keys: Tuple[Tuple, ...]
+    stages: Tuple[Tuple, ...]
+    pairs: Tuple[Tuple, ...]
+    flops: float
 
 
 class _Builder:
@@ -276,6 +318,52 @@ class _Builder:
         _n, seq, _ctx = module_workload(target, microbatch)
         return boundary_p2p_bytes(target.spec, 1, min(seq, 1 << 16))
 
+    def fragment(self, uid_start: int, pair_start: int,
+                 flops: float) -> GraphFragment:
+        """Record the block emitted from ``uid_start`` / ``pair_start``."""
+        slots: Dict[Tuple, int] = {}
+        stages = []
+        for stage in self.stages[uid_start:]:
+            key = stage.key
+            fields = (key.module, key.sub_index, key.chunk, key.direction)
+            stages.append((
+                slots.setdefault(fields, len(slots)),
+                stage.rank,
+                stage.pair_id - pair_start,
+                tuple(dep - uid_start for dep in stage.deps),
+                stage.p2p_bytes,
+                stage.latency_share,
+                stage.releases_memory,
+            ))
+        pairs = tuple(
+            (pair.module, pair.sub_index, pair.chunk, pair.rank,
+             pair.num_layers, pair.cost, pair.instances, pair.seq,
+             pair.context, pair.candidates[0])
+            for pair in self.pairs[pair_start:]
+        )
+        return GraphFragment(keys=tuple(slots), stages=tuple(stages),
+                             pairs=pairs, flops=flops)
+
+    def assemble(self, fragment: GraphFragment, index: int,
+                 memo: BlockMemo) -> None:
+        """Append microbatch ``index``'s block from its fragment."""
+        uid_base = len(self.stages)
+        pair_base = len(self.pairs)
+        keys = [memo.segment_key(index, fields) for fields in fragment.keys]
+        append = self.stages.append
+        for uid, (slot, rank, pair, deps, p2p, share, releases) in enumerate(
+                fragment.stages, uid_base):
+            append(StageTask(uid, keys[slot], rank, pair + pair_base,
+                             tuple([dep + uid_base for dep in deps]), p2p,
+                             0, share, releases))
+        append = self.pairs.append
+        for pair_id, (module, sub_index, chunk, rank, layers, cost,
+                      instances, seq, context, default) in enumerate(
+                fragment.pairs, pair_base):
+            append(StagePair(pair_id, index, module, sub_index, chunk, rank,
+                             layers, cost, instances, seq, context,
+                             [default]))
+
     def static_bytes_per_rank(self) -> List[float]:
         """Weights + optimizer state resident on each pipeline rank."""
         p = self.plan.num_ranks
@@ -306,6 +394,8 @@ def build_iteration_graph(
     partitioner: Optional[ModalityPartitioner] = None,
     memory_utilization: float = MEMORY_UTILIZATION,
     decoupled_backward: bool = False,
+    memo: Optional[BlockMemo] = None,
+    context: str = "",
 ) -> IterationGraph:
     """Construct the stage DAG for one training iteration.
 
@@ -324,21 +414,40 @@ def build_iteration_graph(
             deferrable weight-gradient stages (zero-bubble style) — the
             custom-schedule extension the paper's related-work section
             points at.
+        memo: Per-shape memo of one architecture, plan and build
+            configuration (see :class:`~repro.core.signature.BlockMemo`):
+            a shape with a stored fragment is assembled from it, and a
+            shape whose block facts are stored but whose fragment is not
+            has its freshly emitted block recorded.  The graph is equal,
+            field for field, to one built without it.
+        context: The planning-context digest ``memo`` is keyed under.
     """
     cost_model = cost_model or CostModel()
     if partitioner is None:
         partitioner = ModalityPartitioner(arch, cluster, parallel, cost_model)
     builder = _Builder(arch, plan, cluster, parallel, cost_model,
                        decoupled_backward=decoupled_backward)
+    flops: List[float] = []
     for microbatch in batch:
+        key = (context, shape_key(microbatch)) if memo is not None else None
+        fragment = memo.fragment(key) if key is not None else None
+        if fragment is not None:
+            builder.assemble(fragment, microbatch.index, memo)
+            flops.append(fragment.flops)
+            continue
+        uid_start, pair_start = len(builder.stages), len(builder.pairs)
         splits = partitioner.split_microbatch(plan, microbatch)
         builder.emit_microbatch(microbatch, splits)
+        flops.append(microbatch_total_flops(arch, microbatch))
+        if key is not None and memo.get(key) is not None:
+            memo.put_fragment(
+                key, builder.fragment(uid_start, pair_start, flops[-1]))
     graph = IterationGraph(
         num_ranks=parallel.pp,
         stages=builder.stages,
         pairs=builder.pairs,
         static_bytes_per_rank=builder.static_bytes_per_rank(),
         memory_limit_bytes=cluster.gpu.memory_bytes * memory_utilization,
-        model_flops=iteration_flops(arch, batch),
+        model_flops=sum(flops),
     )
     return graph

@@ -91,6 +91,9 @@ def generate_candidates(
       keyed on the frozen :class:`~repro.sim.costmodel.StageCost`) —
       signature-identical replays and repeated batch shapes reuse the
       solved candidate sets instead of re-running the MCKP sweeps.
+      Pairs sharing one cost object (sub-microbatches of one size,
+      blocks assembled from one graph fragment) consult it once per
+      call.
 
     The memoised :class:`StrategyCandidate` values are frozen; each pair
     receives a fresh list around the shared instances.
@@ -99,22 +102,34 @@ def generate_candidates(
         for pair in graph.pairs:
             pair.selected = 0
         return
+    by_cost: Dict[Tuple[int, int], Tuple[StrategyCandidate, ...]] = {}
     for pair in graph.pairs:
-        key = (pair.cost, pair.num_layers, num_candidates)
-        with _candidate_memo_lock:
-            candidates = _candidate_memo.get(key)
-            if candidates is not None:
-                _candidate_memo.move_to_end(key)
+        shared = (id(pair.cost), pair.num_layers)
+        candidates = by_cost.get(shared)
         if candidates is None:
-            candidates = tuple(_candidates_for_pair(pair, num_candidates))
-            with _candidate_memo_lock:
-                _candidate_memo[key] = candidates
-                _candidate_memo.move_to_end(key)
-                while len(_candidate_memo) > CANDIDATE_MEMO_CAPACITY:
-                    _candidate_memo.popitem(last=False)
+            candidates = by_cost[shared] = _memoised_candidates(
+                pair, num_candidates)
         pair.candidates = list(candidates)
         pair.selected = 0
     graph._candidates_key = num_candidates
+
+
+def _memoised_candidates(pair: StagePair, num_candidates: int
+                         ) -> Tuple[StrategyCandidate, ...]:
+    """``pair``'s candidate set, from the cross-graph memo if held."""
+    key = (pair.cost, pair.num_layers, num_candidates)
+    with _candidate_memo_lock:
+        candidates = _candidate_memo.get(key)
+        if candidates is not None:
+            _candidate_memo.move_to_end(key)
+            return candidates
+    candidates = tuple(_candidates_for_pair(pair, num_candidates))
+    with _candidate_memo_lock:
+        _candidate_memo[key] = candidates
+        _candidate_memo.move_to_end(key)
+        while len(_candidate_memo) > CANDIDATE_MEMO_CAPACITY:
+            _candidate_memo.popitem(last=False)
+    return candidates
 
 
 def _candidates_for_pair(

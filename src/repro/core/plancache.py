@@ -301,16 +301,19 @@ class PlanCache:
         return cache_view(self.metrics_snapshot())
 
     def lookup(self, signature: GraphSignature,
-               allow_near: bool = True) -> CacheLookup:
+               allow_near: bool = True, disk: bool = True) -> CacheLookup:
         """Find the cached plan for ``signature`` (exact, then nearest).
 
         ``allow_near=False`` restricts the lookup to exact hits — the
         planner passes it when the searcher cannot consume a seed
         ordering (natural strategy, single-group graph), so near-hit
         telemetry only counts retrievals that actually warm a search.
+        ``disk=False`` leaves the disk tier out: the caller's
+        :meth:`probe` of this digest has just read it and missed, so a
+        cold request reads it once.
         """
         start = time.perf_counter()
-        result = self._lookup(signature, allow_near)
+        result = self._lookup(signature, allow_near, disk)
         result.elapsed_s = time.perf_counter() - start
         return result
 
@@ -335,11 +338,11 @@ class PlanCache:
             result.elapsed_s = time.perf_counter() - start
         return result
 
-    def _exact_hit(self, digest: str,
-                   context_digest: str) -> Optional[CacheLookup]:
-        """Memory-then-disk exact hit for ``digest``; caller holds the
-        lock.  Entries of another context do not count (and are not
-        promoted)."""
+    def _exact_hit(self, digest: str, context_digest: str,
+                   disk: bool = True) -> Optional[CacheLookup]:
+        """Memory-then-disk exact hit for ``digest`` (memory only when
+        not ``disk``); caller holds the lock.  Entries of another
+        context do not count (and are not promoted)."""
         entry = self._entries.get(digest)
         if entry is not None:
             if entry.signature.context_digest != context_digest:
@@ -348,7 +351,7 @@ class PlanCache:
             self._count_hit("memory")
             return CacheLookup(kind="hit", entry=entry, distance=0.0,
                                tier="memory")
-        if self.disk_tier is None:
+        if self.disk_tier is None or not disk:
             return None
         entry = self.disk_tier.get(digest)
         if entry is None or entry.signature.context_digest != context_digest:
@@ -372,11 +375,11 @@ class PlanCache:
             self._entries.popitem(last=False)
             self._m_evictions.inc()
 
-    def _lookup(self, signature: GraphSignature,
-                allow_near: bool) -> CacheLookup:
+    def _lookup(self, signature: GraphSignature, allow_near: bool,
+                disk: bool) -> CacheLookup:
         with self._lock:
             hit = self._exact_hit(signature.digest,
-                                  signature.context_digest)
+                                  signature.context_digest, disk)
             if hit is not None:
                 return hit
             if self.near_miss and allow_near:

@@ -89,11 +89,16 @@ class PreparedIteration:
             cache is disabled.
         allow_near: Whether a near-miss lookup could warm this search
             (the searcher consumes seeds and the graph has >1 group).
+        disk_probed: The cache's disk tier was already probed for this
+            signature's digest and missed (the planning service's
+            digest-first path), so :meth:`OnlinePlanner.plan_prepared`'s
+            lookup skips it.
     """
 
     graph: IterationGraph
     signature: Optional[GraphSignature] = None
     allow_near: bool = False
+    disk_probed: bool = False
 
 
 @dataclass
@@ -206,8 +211,9 @@ class OnlinePlanner:
             self.cache = PlanCache(capacity=cache_size)
         self.warm_budget_fraction = warm_budget_fraction
         self.warm_budget_distance = warm_budget_distance
-        # Per-shape block digests and group counts for prepare(); keyed
-        # on the context digest, so set_cost_model needs no reset.
+        # Per-shape block digests, group counts and graph fragments for
+        # prepare(); keyed on the context digest, so set_cost_model needs
+        # no reset.
         self._block_memo = BlockMemo()
 
     @property
@@ -250,12 +256,16 @@ class OnlinePlanner:
         """Stages 1-2: prefetch metadata, partition, fingerprint.
 
         Cheap relative to the search; safe to run in the submitting
-        thread, and from several threads at once.  A microbatch shape
-        seen before is neither re-hashed nor re-grouped (the planner's
-        :class:`~repro.core.signature.BlockMemo`), so no group map is
-        built here.  The result feeds :meth:`plan_prepared` (directly,
-        or through a :class:`~repro.service.PlanService` queue).
+        thread, and from several threads at once.  With the plan cache
+        enabled, the planner's :class:`~repro.core.signature.BlockMemo`
+        makes a repeated microbatch shape cheap: it is neither re-hashed
+        nor re-grouped (so no group map is built here), and from its
+        third sighting its block is assembled from a stored graph
+        fragment instead of being re-emitted.  The result feeds
+        :meth:`plan_prepared` (directly, or through a
+        :class:`~repro.service.PlanService` queue).
         """
+        memo = self._block_memo if self.cache is not None else None
         graph = build_iteration_graph(
             self.arch,
             self.plan,
@@ -264,8 +274,10 @@ class OnlinePlanner:
             self.parallel,
             self.cost_model,
             partitioner=self.partitioner,
+            memo=memo,
+            context=self.context_digest() if memo is not None else "",
         )
-        if self.cache is None:
+        if memo is None:
             return PreparedIteration(graph=graph)
         signature = compute_signature(
             graph,
@@ -273,7 +285,7 @@ class OnlinePlanner:
             self.parallel,
             self.cost_model,
             extra=self.searcher.fingerprint(),
-            memo=self._block_memo,
+            memo=memo,
             batch=batch,
         )
         # Near misses only help when the search can consume a seed; keep
@@ -303,7 +315,8 @@ class OnlinePlanner:
 
         signature = prepared.signature
         lookup = self.cache.lookup(signature,
-                                   allow_near=prepared.allow_near)
+                                   allow_near=prepared.allow_near,
+                                   disk=not prepared.disk_probed)
         if lookup.kind == "hit":
             result = self.searcher.replay(graph, lookup.entry, signature)
             result.cache_tier = lookup.tier

@@ -47,15 +47,22 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
-from repro.core.stages import GroupKey, IterationGraph
+from repro.core.stages import GroupKey, IterationGraph, SegmentKey
 from repro.sim.costmodel import CostModel
 
 #: Bumped whenever the hashed canonical form changes shape, so stale
 #: cache entries from older code can never alias new signatures.
 SIGNATURE_VERSION = 1
 
-#: Entries a :class:`BlockMemo` holds before it is cleared.
+#: Block facts, and interned segment keys, a :class:`BlockMemo` holds
+#: before it clears them (keys carry the microbatch index: a VLM-M/12
+#: batch interns ~100).
 BLOCK_MEMO_CAPACITY = 1024
+
+#: Graph fragments a :class:`BlockMemo` holds before it clears them.  A
+#: fragment holds a whole block, so this bound sits well below
+#: :data:`BLOCK_MEMO_CAPACITY`; VLM streams repeat a few dozen shapes.
+FRAGMENT_MEMO_CAPACITY = 128
 
 #: ``BlockInfo.microbatch`` of :func:`_split_blocks`' whole-graph block.
 WHOLE_GRAPH = -1
@@ -208,38 +215,85 @@ def context_fingerprint(
     return h.hexdigest()
 
 
+def shape_key(microbatch) -> Hashable:
+    """A microbatch's shape: the frozen record with its index zeroed.
+    Where a microbatch sits in its batch never changes its block."""
+    return dataclasses.replace(microbatch, index=0)
+
+
 class BlockMemo:
-    """Per-shape block facts: (context digest, microbatch shape) ->
-    (block digest, group count).
+    """Per-shape block facts, keyed on (context digest, microbatch shape).
+
+    Two stores share the key:
+
+    * **facts** — (block digest, group count), filled by
+      :func:`compute_signature`; at most :data:`BLOCK_MEMO_CAPACITY`
+      entries;
+    * **fragments** — the block itself, block-relative (a
+      :class:`~repro.core.graphbuilder.GraphFragment`), read and filled
+      by :func:`~repro.core.graphbuilder.build_iteration_graph`.  A
+      fragment is admitted only for a shape whose facts are already
+      stored, i.e. on the shape's second sighting, so a stream of
+      shapes that never repeat stores none; at most
+      :data:`FRAGMENT_MEMO_CAPACITY` entries.
+
+    The memo also interns the :class:`SegmentKey` objects assembled
+    fragments carry (at most :data:`BLOCK_MEMO_CAPACITY` of them), so a
+    key — and its cached group — is built once.
 
     A builder-emitted block is a pure function of its microbatch's
-    metadata within one planning context *and* one architecture and
-    partition plan, which the context digest does not cover — so a memo
-    belongs to one :class:`~repro.core.planner.OnlinePlanner`.  The shape
-    is the frozen ``Microbatch`` with its index zeroed: where a
-    microbatch sits in its batch never changes its block.
+    metadata within one planning context *and* one architecture,
+    partition plan and build configuration (``decoupled_backward``),
+    which the context digest does not cover — so a memo belongs to one
+    :class:`~repro.core.planner.OnlinePlanner`.
 
-    Holds at most :data:`BLOCK_MEMO_CAPACITY` entries and is cleared,
-    not evicted, when full.  Safe to share between threads: reads are
-    single dict lookups, and writes (whose values are pure functions of
-    their keys) take a lock so the bound holds.
+    Each store is cleared, not evicted, when full.  Safe to share
+    between threads: reads are single dict lookups, and writes (whose
+    values are pure functions of their keys) take a lock so the bounds
+    hold.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Tuple[str, Hashable], Tuple[str, int]] = {}
+        self._fragments: Dict[Tuple[str, Hashable], object] = {}
+        self._keys: Dict[Tuple[int, Tuple], SegmentKey] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def num_fragments(self) -> int:
+        return len(self._fragments)
+
     def get(self, key: Tuple[str, Hashable]) -> Optional[Tuple[str, int]]:
         return self._entries.get(key)
 
     def put(self, key: Tuple[str, Hashable], value: Tuple[str, int]) -> None:
+        self._bounded_put(self._entries, BLOCK_MEMO_CAPACITY, key, value)
+
+    def fragment(self, key: Tuple[str, Hashable]):
+        return self._fragments.get(key)
+
+    def put_fragment(self, key: Tuple[str, Hashable], fragment) -> None:
+        self._bounded_put(self._fragments, FRAGMENT_MEMO_CAPACITY, key,
+                          fragment)
+
+    def segment_key(self, microbatch: int, fields: Tuple) -> SegmentKey:
+        """The interned ``SegmentKey(microbatch, *fields)``."""
+        intern_key = (microbatch, fields)
+        key = self._keys.get(intern_key)
+        if key is None:
+            key = SegmentKey(microbatch, *fields)
+            self._bounded_put(self._keys, BLOCK_MEMO_CAPACITY, intern_key,
+                              key)
+        return key
+
+    def _bounded_put(self, store: Dict, capacity: int, key, value) -> None:
         with self._lock:
-            if len(self._entries) >= BLOCK_MEMO_CAPACITY:
-                self._entries.clear()
-            self._entries[key] = value
+            if len(store) >= capacity:
+                store.clear()
+            store[key] = value
 
 
 def _block_digest(graph: IterationGraph, block_stages, pair_start: int,
@@ -391,8 +445,7 @@ def compute_signature(
         if batch is None:
             raise ValueError("a block memo needs the graph's batch")
         microbatches = list(batch)
-        shapes = {mb.index: dataclasses.replace(mb, index=0)
-                  for mb in microbatches}
+        shapes = {mb.index: shape_key(mb) for mb in microbatches}
         if len(shapes) != len(microbatches):
             shapes = {}
     blocks = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.costmodel import StageCost
@@ -27,6 +28,10 @@ class Direction(enum.Enum):
 
     FORWARD = "fw"
     BACKWARD = "bw"
+
+    # Members are singletons, so identity hashing agrees with equality;
+    # Enum's own hash re-hashes the member name on every group lookup.
+    __hash__ = object.__hash__
 
     @property
     def opposite(self) -> "Direction":
@@ -53,8 +58,9 @@ class SegmentKey:
     chunk: int
     direction: Direction
 
-    @property
+    @cached_property
     def group(self) -> "GroupKey":
+        """The key's segment group, built once per key."""
         return GroupKey(self.microbatch, self.module, self.direction)
 
 
@@ -243,11 +249,22 @@ class IterationGraph:
     def resident_bytes(self, stage: StageTask) -> float:
         return self.pairs[stage.pair_id].resident_bytes()
 
+    def stage_latencies(self) -> List[float]:
+        """:meth:`latency_ms` of every stage, by uid, with each pair's
+        forward and backward latency computed once."""
+        forward = [pair.forward_ms() for pair in self.pairs]
+        backward = [pair.backward_ms() for pair in self.pairs]
+        return [
+            (forward if stage.key.direction is Direction.FORWARD
+             else backward)[stage.pair_id] * stage.latency_share
+            for stage in self.stages
+        ]
+
     def total_compute_ms_per_rank(self) -> List[float]:
         """Lower-bound busy time per rank (sum of stage latencies)."""
         busy = [0.0] * self.num_ranks
-        for stage in self.stages:
-            busy[stage.rank] += self.latency_ms(stage)
+        for stage, latency in zip(self.stages, self.stage_latencies()):
+            busy[stage.rank] += latency
         return busy
 
     # -- groups --------------------------------------------------------------

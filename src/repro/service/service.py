@@ -402,10 +402,16 @@ class PlanService:
         )
         ticket.trace = trace
         ticket.deadline_s = deadline_s
-        if digest is not None and self._serve_cached(job, ticket, digest):
-            return ticket
+        probed = None
+        if digest is not None:
+            probed = self._serve_cached(job, ticket, digest)
+            if probed is True:
+                return ticket
         with job.lock:
             prepared = job.planner.prepare(batch)
+        if (probed is False and prepared.signature is not None
+                and prepared.signature.digest == digest):
+            prepared.disk_probed = True  # the probe read the tier: once
         ticket.prepared = prepared
         ticket.enqueued_s = time.monotonic()
         self._counters["submitted"].inc()
@@ -473,24 +479,26 @@ class PlanService:
         return ticket
 
     def _serve_cached(self, job: RegisteredJob, ticket: PlanTicket,
-                      digest: str) -> bool:
+                      digest: str) -> Optional[bool]:
         """Answer ``ticket`` from the cache by digest alone, if possible.
 
         Runs in the submitting thread, under the job's search/swap
         exclusion so a recalibration cannot swap the context between
-        the probe and the context check.  A digest with a leader in
-        flight is left to coalesce (its plan is not cached yet), and a
-        probe miss — absent entry, or one stored under a retired
-        context — counts nothing; both return ``False`` and the request
-        takes the normal path.  On a hit the ticket completes here with
-        the counters and spans of a worker-served hit.
+        the probe and the context check.  Returns ``True`` on a hit: the
+        ticket completes here with the counters and spans of a
+        worker-served hit.  A probe miss — absent entry, or one stored
+        under a retired context — counts nothing and returns ``False``;
+        the request takes the normal path, whose lookup then skips the
+        disk tier the probe already read.  Without a cache, or for a
+        digest with a leader in flight (left to coalesce: its plan is
+        not cached yet), no probe runs and this returns ``None``.
         """
         cache = job.planner.cache
         if cache is None:
-            return False
+            return None
         with self._mutex:
             if digest in self._pending:
-                return False
+                return None
         job.begin_search()
         try:
             probe_s = time.monotonic()

@@ -111,6 +111,7 @@ def simulate_order_kernel(
 
     ready = [uid for uid in range(n) if indeg[uid] == 0]
     dependents = graph.dependents
+    latencies = graph.stage_latencies()
     processed = 0
     while ready:
         uid = ready.pop()
@@ -125,7 +126,7 @@ def simulate_order_kernel(
         prev = prev_in_order[uid]
         if prev >= 0 and end[prev] > arrival:
             arrival = end[prev]
-        latency = graph.latency_ms(stage)
+        latency = latencies[uid]
         start[uid] = arrival
         end[uid] = arrival + latency
         busy[stage.rank] += latency

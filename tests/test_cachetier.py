@@ -30,6 +30,8 @@ from repro.core.signature import compute_signature
 from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch
 from repro.obs.registry import sample_value
+from repro.service.requests import OUTCOME_HIT, OUTCOME_SEARCH
+from repro.service.service import PlanService
 
 
 def controlled_batch(image_counts, start_index=0):
@@ -58,6 +60,54 @@ def make_planner(tiny_vlm, small_cluster, parallel2, cost_model):
 @pytest.fixture
 def tier(tmp_path):
     return DiskCacheTier(str(tmp_path / "tier"))
+
+
+class TestDigestFirstProbe:
+    """A digest-carrying submit probes both tiers before building the
+    graph; when that misses, its queued lookup reads memory again but
+    not the disk tier."""
+
+    def _service(self, make_planner, tier):
+        service = PlanService(num_workers=0,
+                              plan_cache=PlanCache(capacity=8,
+                                                   disk_tier=tier))
+        service.register_job("vlm", planner=make_planner())
+        return service
+
+    def test_cold_submit_reads_the_tier_once(self, tier, make_planner):
+        service = self._service(make_planner, tier)
+        batch = controlled_batch([4, 8])
+        digest = make_planner().prepare(batch).signature.digest
+        ticket = service.submit("vlm", batch, digest=digest)
+        assert service.step()
+        assert ticket.outcome == OUTCOME_SEARCH
+        assert ops(tier, "misses") == 1
+        assert service.cache.stats.misses == 1
+        assert ops(tier, "stores") == 1
+
+    def test_memory_store_after_the_probe_still_hits(self, tier,
+                                                     make_planner):
+        service = self._service(make_planner, tier)
+        batch = controlled_batch([4, 8])
+        other = make_planner()
+        digest = other.prepare(batch).signature.digest
+        ticket = service.submit("vlm", batch, digest=digest)
+        other.plan_iteration(batch)  # a sibling's search lands first
+        (plan,) = other.cache._entries.values()
+        service.cache.store(plan)
+        assert service.step()
+        assert ticket.outcome == OUTCOME_HIT
+        assert ticket.result().cache_tier == "memory"
+        assert ops(tier, "misses") == 1
+        assert service.cache.stats.misses == 0
+
+    def test_submit_without_digest_reads_the_tier_once(self, tier,
+                                                       make_planner):
+        service = self._service(make_planner, tier)
+        ticket = service.submit("vlm", controlled_batch([4, 8]))
+        assert service.step()
+        assert ticket.outcome == OUTCOME_SEARCH
+        assert ops(tier, "misses") == 1
 
 
 class TestDiskTierMechanics:

@@ -29,8 +29,17 @@ from repro.core.planner import OnlinePlanner
 from repro.core.searcher import ScheduleSearcher
 from repro.core.signature import SIGNATURE_VERSION
 from repro.data.batching import GlobalBatch
-from repro.data.packing import controlled_vlm_microbatch
-from repro.data.workload import vlm_workload
+from repro.data.datasets import mixture_image_dataset
+from repro.data.packing import (
+    controlled_vlm_microbatch,
+    pack_image_text_balanced,
+    unimodal_lm_microbatch,
+)
+from repro.data.workload import (
+    DynamicImageBoundsSchedule,
+    t2v_workload,
+    vlm_workload,
+)
 from repro.fleet.client import FleetClient, drive_fleet
 from repro.obs.registry import sample_value
 from repro.obs.tracing import RequestTracer, spans_for_trace
@@ -167,6 +176,25 @@ class TestFrameCodec:
         batch = controlled_batch([4, 8, 2])
         again = batch_from_dict(batch_to_dict(batch))
         assert again.microbatches == batch.microbatches
+
+    def test_batch_encoding_matches_asdict(self):
+        """Every workload generator's batches encode to the frame bytes
+        ``dataclasses.asdict`` records would give."""
+        images = mixture_image_dataset(seed=3)
+        batches = [
+            *vlm_workload(12, seed=101).batches(3),
+            *t2v_workload(7, seed=101).batches(3),
+            *DynamicImageBoundsSchedule(num_microbatches=4,
+                                        seed=0).batches()[:3],
+            pack_image_text_balanced(iter(images.sample, None), 4),
+            GlobalBatch([unimodal_lm_microbatch(i) for i in range(4)]),
+            controlled_batch([4, 8, 2]),
+        ]
+        for batch in batches:
+            expected = {"microbatches": [dataclasses.asdict(m)
+                                         for m in batch.microbatches]}
+            assert encode_frame(batch_to_dict(batch)) == \
+                encode_frame(expected)
 
     def test_batch_codec_rejects_garbage(self):
         with pytest.raises(RemotePlanError):

@@ -1,14 +1,18 @@
 """The per-shape block memo of ``OnlinePlanner.prepare``.
 
-A memoised ``prepare`` must fingerprint every batch exactly as the
-memo-free :func:`compute_signature` does on a fresh build of the same
-batch: same digest, same canonical blocks (order, spans, digests), same
-features, same ``allow_near``.  The differential runs over every workload
-generator and seed the served-plan benchmark and ``benchmarks/`` use,
-first with an empty memo (misses) and then again (hits).
+A memoised ``prepare`` must build and fingerprint every batch exactly as
+the memo-free :func:`build_iteration_graph` and :func:`compute_signature`
+do on a fresh build of the same batch: the same graph field for field
+(stages, pairs, dependents, graph constants, groups), the same digest,
+canonical blocks (order, spans, digests) and features, the same
+``allow_near``.  The differential runs over every workload generator and
+seed the served-plan benchmark and ``benchmarks/`` use, first with an
+empty memo (misses), then again (block facts hit, fragments recorded)
+and a third time (blocks assembled from fragments).
 
 The perf guards count work instead of timing it: a repeated ``prepare``
-hashes no block and builds no group map.
+hashes no block and builds no group map, and once a shape's fragment is
+stored no block is emitted.
 """
 
 from __future__ import annotations
@@ -20,15 +24,17 @@ import threading
 import pytest
 
 from repro.cli import _setup
+from repro.core import graphbuilder
 from repro.core import signature as signature_module
 from repro.core.graphbuilder import build_iteration_graph
 from repro.core.signature import (
     BLOCK_MEMO_CAPACITY,
+    FRAGMENT_MEMO_CAPACITY,
     WHOLE_GRAPH,
     BlockMemo,
     compute_signature,
 )
-from repro.core.stages import IterationGraph
+from repro.core.stages import Direction, IterationGraph, SegmentKey
 from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch, unimodal_lm_microbatch
 from repro.data.workload import (
@@ -48,30 +54,70 @@ SHAPES = (("VLM-M", 16), ("VLM-M", 12), ("T2V-S", 7), ("VLM-S", 4))
 
 BATCHES_PER_SEED = 2
 
+#: Passes over one batch list: block facts are stored on the first,
+#: fragments on the second, and blocks are assembled on the third.
+PASSES = 3
 
-def make_planner(model: str):
-    return _setup(model, 10, 0, plan_cache=True, cache_size=16)[3]
+#: Batches per differential chunk: ``CHUNK * 16`` microbatch shapes fit in
+#: the fragment store.
+CHUNK = 6
+
+
+def make_planner(model: str, budget: int = 10):
+    return _setup(model, budget, 0, plan_cache=True, cache_size=16)[3]
+
+
+def fresh_graph(planner, batch, **kwargs):
+    return build_iteration_graph(
+        planner.arch, planner.plan, batch, planner.cluster,
+        planner.parallel, planner.cost_model,
+        partitioner=planner.partitioner, **kwargs,
+    )
 
 
 def fresh_reference(planner, batch):
-    """Memo-free fingerprint of a fresh build, and its group count."""
-    graph = build_iteration_graph(
-        planner.arch, planner.plan, batch, planner.cluster,
-        planner.parallel, planner.cost_model,
-        partitioner=planner.partitioner,
-    )
+    """Memo-free fingerprint of a fresh build, its group count and the
+    build."""
+    graph = fresh_graph(planner, batch)
     signature = compute_signature(
         graph, planner.cluster, planner.parallel, planner.cost_model,
         extra=planner.searcher.fingerprint(),
     )
     allow_near = (planner.searcher.supports_warm_start
                   and len(graph.groups()) > 1)
-    return signature, allow_near, len(graph.groups())
+    return signature, allow_near, len(graph.groups()), graph
+
+
+def assert_same_graph(graph, reference):
+    """Field-for-field equality, groups included (built on copies, so
+    neither graph's lazy group map is filled as a side effect)."""
+    assert graph.num_ranks == reference.num_ranks
+    assert graph.stages == reference.stages
+    assert graph.pairs == reference.pairs
+    assert graph.dependents == reference.dependents
+    assert graph.static_bytes_per_rank == reference.static_bytes_per_rank
+    assert graph.memory_limit_bytes == reference.memory_limit_bytes
+    assert graph.model_flops == reference.model_flops
+    groups = copy_graph(graph).groups()
+    reference_groups = copy_graph(reference).groups()
+    assert list(groups) == list(reference_groups)
+    assert list(groups.values()) == list(reference_groups.values())
+
+
+def copy_graph(graph):
+    return IterationGraph(
+        num_ranks=graph.num_ranks, stages=graph.stages, pairs=graph.pairs,
+        static_bytes_per_rank=graph.static_bytes_per_rank,
+        memory_limit_bytes=graph.memory_limit_bytes,
+        model_flops=graph.model_flops,
+    )
 
 
 def assert_same_fingerprint(planner, batch):
     prepared = planner.prepare(batch)
-    reference, allow_near, num_groups = fresh_reference(planner, batch)
+    reference, allow_near, num_groups, graph = fresh_reference(planner,
+                                                               batch)
+    assert_same_graph(prepared.graph, graph)
     signature = prepared.signature
     assert signature.digest == reference.digest
     assert signature.context_digest == reference.context_digest
@@ -91,17 +137,24 @@ def controlled_batch(counts, start_index=0):
 
 @pytest.mark.parametrize("model,microbatches", SHAPES,
                          ids=[f"{m}-{n}" for m, n in SHAPES])
-def test_memo_matches_memo_free_signature(model, microbatches):
+def test_memo_matches_memo_free_signature(model, microbatches, monkeypatch):
     planner = make_planner(model)
     workload = t2v_workload if model.startswith("T2V") else vlm_workload
     batches = [batch for seed in SEEDS
                for batch in workload(microbatches, seed=seed)
                .batches(BATCHES_PER_SEED)]
-    for batch in batches:  # first pass: shapes mostly new to the memo
-        assert_same_fingerprint(planner, batch)
+    assembled = count_calls(monkeypatch, graphbuilder._Builder, "assemble")
+    # Chunks small enough that their shapes' fragments all fit in a
+    # fresh memo, so the last pass assembles every block.
+    for start in range(0, len(batches), CHUNK):
+        chunk = batches[start:start + CHUNK]
+        planner._block_memo = BlockMemo()
+        for _ in range(PASSES):
+            for batch in chunk:
+                assert_same_fingerprint(planner, batch)
     assert len(planner._block_memo) > 0
-    for batch in batches:  # second pass: every shape is a memo hit
-        assert_same_fingerprint(planner, batch)
+    assert planner._block_memo.num_fragments > 0
+    assert len(assembled) >= len(batches) * microbatches
 
 
 def test_memo_matches_on_controlled_generators():
@@ -112,21 +165,26 @@ def test_memo_matches_on_controlled_generators():
     batches.append(GlobalBatch([unimodal_lm_microbatch(i)
                                 for i in range(4)]))
     batches.append(controlled_batch([12, 6, 9, 3]))
-    for _ in range(2):
+    for _ in range(PASSES):
         for batch in batches:
             assert_same_fingerprint(planner, batch)
 
 
-def count_block_digests(monkeypatch):
+def count_calls(monkeypatch, owner, name):
+    """Count calls of ``owner.name`` (a function or method)."""
     calls = []
-    original = signature_module._block_digest
+    original = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return original(*args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(signature_module, "_block_digest", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_block_digests(monkeypatch):
+    return count_calls(monkeypatch, signature_module, "_block_digest")
 
 
 def test_shape_at_different_indices_and_positions(monkeypatch):
@@ -161,6 +219,24 @@ def test_set_cost_model_gives_no_stale_hit():
     fresh.set_cost_model(recalibrated)
     assert after.digest == fresh.prepare(batch).signature.digest
     assert after.blocks == fresh.prepare(batch).signature.blocks
+
+
+def test_set_cost_model_gives_no_stale_fragment():
+    planner = make_planner("VLM-M")
+    batch = vlm_workload(12, seed=101).next_batch()
+    for _ in range(PASSES):
+        planner.prepare(batch)
+    assert planner._block_memo.num_fragments > 0
+    recalibrated = CostModel(compute_efficiency=0.5)
+    planner.set_cost_model(recalibrated)
+    fresh = make_planner("VLM-M")
+    fresh.set_cost_model(recalibrated)
+    for _ in range(PASSES):
+        prepared = planner.prepare(batch)
+        reference = fresh.prepare(batch)
+        assert_same_graph(prepared.graph, reference.graph)
+        assert prepared.signature == reference.signature
+        assert_same_fingerprint(planner, batch)
 
 
 def cross_block_graph(planner):
@@ -218,6 +294,122 @@ def test_repeated_indices_skip_the_memo():
     assert len(memo) == 0
 
 
+def test_decoupled_backward_fragments_match_fresh_builds():
+    """A memo belongs to one build configuration, so the decoupled
+    builds get their own."""
+    planner = make_planner("VLM-M")
+    memo = BlockMemo()
+    context = planner.context_digest()
+    batches = [batch for seed in (0, 101)
+               for batch in vlm_workload(12, seed=seed).batches(2)]
+    for _ in range(PASSES):
+        for batch in batches:
+            graph = fresh_graph(planner, batch, decoupled_backward=True,
+                                memo=memo, context=context)
+            reference = fresh_graph(planner, batch, decoupled_backward=True)
+            assert_same_graph(graph, reference)
+            args = (planner.cluster, planner.parallel, planner.cost_model,
+                    planner.searcher.fingerprint())
+            assert compute_signature(graph, *args, memo=memo,
+                                     batch=batch) == \
+                compute_signature(reference, *args)
+    assert memo.num_fragments > 0
+    assert any(stage.latency_share == graphbuilder.DGRAD_SHARE
+               for stage in graph.stages)
+
+
+def test_assembled_graphs_share_no_mutable_state():
+    planner = make_planner("VLM-M")
+    batch = vlm_workload(12, seed=101).next_batch()
+    for _ in range(PASSES):
+        planner.prepare(batch)
+    first = planner.prepare(batch).graph
+    for stage in first.stages:
+        stage.priority = 7
+    for pair in first.pairs:
+        pair.candidates.append(pair.candidates[0])
+        pair.selected = 1
+    first.apply_group_priorities({group: 3 for group in first.groups()})
+    again = planner.prepare(batch).graph
+    assert_same_graph(again, fresh_graph(planner, batch))
+    assert {stage.priority for stage in again.stages} == {0}
+    assert {len(pair.candidates) for pair in again.pairs} == {1}
+    # The immutable parts are shared, not copied.
+    assert all(a.key is b.key and a.key.group is b.key.group
+               for a, b in zip(first.stages, again.stages))
+    assert all(a.cost is b.cost for a, b in zip(first.pairs, again.pairs))
+
+
+def test_repeated_prepare_emits_nothing(monkeypatch):
+    planner = make_planner("VLM-M")
+    batch = vlm_workload(12, seed=101).next_batch()
+    emitted = count_calls(monkeypatch, graphbuilder._Builder,
+                          "emit_microbatch")
+    planner.prepare(batch)  # first sighting: block facts stored
+    assert planner._block_memo.num_fragments == 0
+    planner.prepare(batch)  # second sighting: fragments stored
+    assert planner._block_memo.num_fragments > 0
+    emitted.clear()
+    again = planner.prepare(batch)
+    assert emitted == []
+    assert_same_graph(again.graph, fresh_graph(planner, batch))
+
+
+def test_fragments_admitted_on_repeat_and_bounded():
+    planner = make_planner("T2V-S")
+    batches = t2v_workload(7, seed=0).batches(
+        FRAGMENT_MEMO_CAPACITY // 7 + 6)
+    for batch in batches:  # T2V-S shapes do not repeat in one stream
+        planner.prepare(batch)
+    assert planner._block_memo.num_fragments == 0
+    sizes = [0]
+    for batch in batches:  # a second sighting admits every shape
+        planner.prepare(batch)
+        sizes.append(planner._block_memo.num_fragments)
+    assert max(sizes) <= FRAGMENT_MEMO_CAPACITY
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared when full
+
+
+def test_search_and_replay_identical_with_and_without_memo():
+    batches = vlm_workload(12, seed=101).batches(2)
+    memoised = make_planner("VLM-M", budget=6)
+    for _ in range(PASSES):
+        for batch in batches:
+            memoised.prepare(batch)
+    plain = make_planner("VLM-M", budget=6)
+    for batch in batches:
+        prepared = memoised.prepare(batch)
+        searched = memoised.searcher.search(prepared.graph)
+        reference = plain.searcher.search(fresh_graph(plain, batch))
+        assert_same_result(searched, reference)
+        searched = memoised.plan_prepared(prepared)  # search, then store
+        assert not searched.cache_hit
+        replayed = memoised.plan_iteration(batch)
+        assert replayed.cache_hit
+        entry = memoised.cache.lookup(prepared.signature).entry
+        fresh = fresh_graph(plain, batch)
+        signature = compute_signature(
+            fresh, plain.cluster, plain.parallel, plain.cost_model,
+            extra=plain.searcher.fingerprint())
+        assert_same_result(replayed,
+                           plain.searcher.replay(fresh, entry, signature))
+        assert replayed.total_ms == searched.total_ms
+
+
+def assert_same_result(result, reference):
+    assert result.total_ms == reference.total_ms
+    assert result.ordering == reference.ordering
+    assert result.evaluations == reference.evaluations
+    assert result.schedule.order == reference.schedule.order
+    predicted = result.schedule.predicted
+    expected = reference.schedule.predicted
+    assert predicted.start_ms == expected.start_ms
+    assert predicted.end_ms == expected.end_ms
+    assert predicted.peak_memory_bytes == expected.peak_memory_bytes
+    assert [p.selected for p in result.schedule.graph.pairs] == \
+        [p.selected for p in reference.schedule.graph.pairs]
+
+
 def test_repeated_prepare_hashes_and_groups_nothing(monkeypatch):
     planner = make_planner("VLM-M")
     batch = vlm_workload(12, seed=101).next_batch()
@@ -267,15 +459,21 @@ def run_threads(count, target):
 def test_concurrent_prepares_agree():
     planner = make_planner("VLM-M")
     batches = vlm_workload(12, seed=102).batches(3)
-    expected = [fresh_reference(planner, b)[0].digest for b in batches]
+    references = [fresh_reference(planner, b) for b in batches]
+    expected = [reference[0].digest for reference in references]
     results = {}
+    graphs = {}
 
     def prepare_all(index):
-        results[index] = [planner.prepare(b).signature.digest
-                          for b in batches * 2]
+        prepared = [planner.prepare(b) for b in batches * PASSES]
+        results[index] = [p.signature.digest for p in prepared]
+        graphs[index] = [p.graph for p in prepared]
 
     run_threads(4, prepare_all)
-    assert results == {i: expected * 2 for i in range(4)}
+    assert results == {i: expected * PASSES for i in range(4)}
+    for built in graphs.values():
+        for graph, reference in zip(built, references * PASSES):
+            assert_same_graph(graph, reference[3])
 
 
 def test_concurrent_writes_keep_the_bound(monkeypatch):
@@ -291,3 +489,13 @@ def test_concurrent_writes_keep_the_bound(monkeypatch):
 
     run_threads(4, write)
     assert oversized == []
+
+
+def test_interned_keys_stay_within_the_bound(monkeypatch):
+    monkeypatch.setattr(signature_module, "BLOCK_MEMO_CAPACITY", 4)
+    memo = BlockMemo()
+    fields = ("llm", 0, 1, Direction.BACKWARD)
+    keys = [memo.segment_key(index, fields) for index in range(10)]
+    assert len(memo._keys) <= 4
+    assert memo.segment_key(9, fields) is keys[9]
+    assert keys == [SegmentKey(index, *fields) for index in range(10)]
