@@ -42,12 +42,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
 from repro.core.stages import GroupKey, IterationGraph, SegmentKey
+from repro.data.batching import Microbatch
 from repro.sim.costmodel import CostModel
 
 #: Bumped whenever the hashed canonical form changes shape, so stale
@@ -215,10 +217,14 @@ def context_fingerprint(
     return h.hexdigest()
 
 
-def shape_key(microbatch) -> Hashable:
-    """A microbatch's shape: the frozen record with its index zeroed.
-    Where a microbatch sits in its batch never changes its block."""
-    return dataclasses.replace(microbatch, index=0)
+_shape_fields = operator.attrgetter(*(
+    f.name for f in dataclasses.fields(Microbatch) if f.name != "index"))
+
+
+def shape_key(microbatch: Microbatch) -> Tuple:
+    """A microbatch's shape: every field but its index.  Where a
+    microbatch sits in its batch never changes its block."""
+    return _shape_fields(microbatch)
 
 
 class BlockMemo:

@@ -402,14 +402,14 @@ class PlanService:
         )
         ticket.trace = trace
         ticket.deadline_s = deadline_s
-        probed = None
+        probe_hit = None
         if digest is not None:
-            probed = self._serve_cached(job, ticket, digest)
-            if probed is True:
+            probe_hit = self._serve_cached(job, ticket, digest)
+            if probe_hit:
                 return ticket
         with job.lock:
             prepared = job.planner.prepare(batch)
-        if (probed is False and prepared.signature is not None
+        if (probe_hit is False and prepared.signature is not None
                 and prepared.signature.digest == digest):
             prepared.disk_probed = True  # the probe read the tier: once
         ticket.prepared = prepared
