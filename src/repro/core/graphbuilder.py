@@ -318,8 +318,8 @@ class _Builder:
         _n, seq, _ctx = module_workload(target, microbatch)
         return boundary_p2p_bytes(target.spec, 1, min(seq, 1 << 16))
 
-    def fragment(self, uid_start: int, pair_start: int,
-                 flops: float) -> GraphFragment:
+    def block_fragment(self, uid_start: int, pair_start: int,
+                       flops: float) -> GraphFragment:
         """Record the block emitted from ``uid_start`` / ``pair_start``."""
         slots: Dict[Tuple, int] = {}
         stages = []
@@ -440,8 +440,8 @@ def build_iteration_graph(
         builder.emit_microbatch(microbatch, splits)
         flops.append(microbatch_total_flops(arch, microbatch))
         if key is not None and memo.get(key) is not None:
-            memo.put_fragment(
-                key, builder.fragment(uid_start, pair_start, flops[-1]))
+            memo.put_fragment(key, builder.block_fragment(
+                uid_start, pair_start, flops[-1]))
     graph = IterationGraph(
         num_ranks=parallel.pp,
         stages=builder.stages,
