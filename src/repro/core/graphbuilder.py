@@ -20,7 +20,9 @@ dependency edges stay inside it, and the block is a pure function of the
 microbatch's shape (its metadata without the index).  Given a
 :class:`~repro.core.signature.BlockMemo`, the builder records a repeated
 shape's block once as a block-relative :class:`GraphFragment` and
-assembles later sightings from it instead of re-emitting them.
+assembles later sightings from it instead of re-emitting them.  It can
+also hand back one :class:`~repro.core.signature.BlockRecord` per block,
+so the signature is computed from the spans the builder laid down.
 """
 
 from __future__ import annotations
@@ -38,7 +40,12 @@ from repro.data.batching import (
 from repro.models.flops import boundary_p2p_bytes, training_state_bytes
 from repro.models.lmm import LMMArchitecture
 from repro.core.partitioner import ModalityPartitioner, PartitionPlan
-from repro.core.signature import BlockMemo, shape_key
+from repro.core.signature import (
+    BlockMemo,
+    BlockRecord,
+    block_costs,
+    shape_key,
+)
 from repro.core.stages import (
     Direction,
     IterationGraph,
@@ -72,17 +79,24 @@ class GraphFragment:
             rank, num_layers, cost, instances, seq, context, default
             candidate)``.
         flops: The microbatch's train-step FLOPs.
+        digest / num_groups: The block's signature facts (see
+            :class:`~repro.core.signature.BlockMemo`).
+        costs: The block's signature-feature inputs
+            (:func:`~repro.core.signature.block_costs`).
 
-    Everything here is immutable and shared by every graph assembled
-    from the fragment (the :class:`StageCost` and
-    :class:`StrategyCandidate` objects included); the stage and pair
-    objects, which searches mutate, are built fresh each time.
+    Everything here is shared by every graph assembled from the fragment
+    (the :class:`StageCost` and :class:`StrategyCandidate` objects
+    included) and never written; the stage and pair objects, which
+    searches mutate, are built fresh each time.
     """
 
     keys: Tuple[Tuple, ...]
     stages: Tuple[Tuple, ...]
     pairs: Tuple[Tuple, ...]
     flops: float
+    digest: str
+    num_groups: int
+    costs: Tuple
 
 
 class _Builder:
@@ -319,8 +333,9 @@ class _Builder:
         return boundary_p2p_bytes(target.spec, 1, min(seq, 1 << 16))
 
     def block_fragment(self, uid_start: int, pair_start: int,
-                       flops: float) -> GraphFragment:
-        """Record the block emitted from ``uid_start`` / ``pair_start``."""
+                       flops: float, facts: Tuple[str, int]) -> GraphFragment:
+        """Record the block emitted from ``uid_start`` / ``pair_start``,
+        whose signature facts are ``facts``."""
         slots: Dict[Tuple, int] = {}
         stages = []
         for stage in self.stages[uid_start:]:
@@ -341,8 +356,11 @@ class _Builder:
              pair.context, pair.candidates[0])
             for pair in self.pairs[pair_start:]
         )
-        return GraphFragment(keys=tuple(slots), stages=tuple(stages),
-                             pairs=pairs, flops=flops)
+        return GraphFragment(
+            keys=tuple(slots), stages=tuple(stages), pairs=pairs,
+            flops=flops, digest=facts[0], num_groups=facts[1],
+            costs=block_costs(self.stages[uid_start:], self.pairs,
+                              pair_start, len(self.pairs)))
 
     def assemble(self, fragment: GraphFragment, index: int,
                  memo: BlockMemo) -> None:
@@ -396,6 +414,7 @@ def build_iteration_graph(
     decoupled_backward: bool = False,
     memo: Optional[BlockMemo] = None,
     context: str = "",
+    blocks: Optional[List[BlockRecord]] = None,
 ) -> IterationGraph:
     """Construct the stage DAG for one training iteration.
 
@@ -421,6 +440,12 @@ def build_iteration_graph(
             has its freshly emitted block recorded.  The graph is equal,
             field for field, to one built without it.
         context: The planning-context digest ``memo`` is keyed under.
+        blocks: When given, receives one
+            :class:`~repro.core.signature.BlockRecord` per microbatch, in
+            batch order, emitted or assembled: its uid and pair spans,
+            its memo key, and the fragment it was assembled from.
+            :func:`~repro.core.signature.compute_signature` fingerprints
+            the fresh graph from them without re-splitting it.
     """
     cost_model = cost_model or CostModel()
     if partitioner is None:
@@ -429,19 +454,24 @@ def build_iteration_graph(
                        decoupled_backward=decoupled_backward)
     flops: List[float] = []
     for microbatch in batch:
+        uid_start, pair_start = len(builder.stages), len(builder.pairs)
         key = (context, shape_key(microbatch)) if memo is not None else None
         fragment = memo.fragment(key) if key is not None else None
         if fragment is not None:
             builder.assemble(fragment, microbatch.index, memo)
             flops.append(fragment.flops)
-            continue
-        uid_start, pair_start = len(builder.stages), len(builder.pairs)
-        splits = partitioner.split_microbatch(plan, microbatch)
-        builder.emit_microbatch(microbatch, splits)
-        flops.append(microbatch_total_flops(arch, microbatch))
-        if key is not None and memo.get(key) is not None:
-            memo.put_fragment(key, builder.block_fragment(
-                uid_start, pair_start, flops[-1]))
+        else:
+            splits = partitioner.split_microbatch(plan, microbatch)
+            builder.emit_microbatch(microbatch, splits)
+            flops.append(microbatch_total_flops(arch, microbatch))
+            facts = memo.get(key) if key is not None else None
+            if facts is not None:
+                memo.put_fragment(key, builder.block_fragment(
+                    uid_start, pair_start, flops[-1], facts))
+        if blocks is not None:
+            blocks.append(BlockRecord(
+                microbatch.index, uid_start, len(builder.stages),
+                pair_start, len(builder.pairs), key, fragment))
     graph = IterationGraph(
         num_ranks=parallel.pp,
         stages=builder.stages,

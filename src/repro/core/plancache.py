@@ -588,10 +588,17 @@ def plan_to_dict(plan: CachedPlan) -> Dict:
     }
 
 
-def plan_from_dict(payload: Dict) -> CachedPlan:
-    """Inverse of :func:`plan_to_dict`; raises on malformed payloads."""
+def plan_from_dict(payload: Dict,
+                   signature: Optional[GraphSignature] = None) -> CachedPlan:
+    """Inverse of :func:`plan_to_dict`; raises on malformed payloads.
+
+    ``signature``, when given, is the already decoded
+    ``payload["signature"]`` (a caller that decoded it for its own
+    checks), so the plan does not decode it a second time.
+    """
     return CachedPlan(
-        signature=signature_from_dict(payload["signature"]),
+        signature=(signature if signature is not None
+                   else signature_from_dict(payload["signature"])),
         ordering=[tuple(g) for g in payload["ordering"]],
         order=[list(rank_order) for rank_order in payload["order"]],
         selected=list(payload["selected"]),
@@ -635,18 +642,19 @@ def encode_plan(result, signature: GraphSignature,
 def decode_order(plan: CachedPlan,
                  signature: GraphSignature) -> List[List[int]]:
     """Map a cached per-rank order onto a new, signature-equal graph."""
-    return [
-        [signature.actual_uid(uid) for uid in rank_order]
-        for rank_order in plan.order
-    ]
+    to_actual = signature.canonical_to_uid
+    return [[to_actual[uid] for uid in rank_order]
+            for rank_order in plan.order]
 
 
 def decode_selection(plan: CachedPlan, signature: GraphSignature,
                      graph: IterationGraph) -> None:
     """Apply cached memory-strategy selections to the new graph's pairs."""
-    for canonical, choice in enumerate(plan.selected):
-        pair = graph.pairs[signature.actual_pair(canonical)]
-        pair.selected = min(choice, len(pair.candidates) - 1)
+    pairs = graph.pairs
+    for pair_id, choice in zip(signature.canonical_to_pair, plan.selected):
+        pair = pairs[pair_id]
+        candidates = len(pair.candidates)
+        pair.selected = choice if choice < candidates else candidates - 1
 
 
 def decode_ordering(plan: CachedPlan,

@@ -40,6 +40,7 @@ from repro.core.plancache import (
 from repro.core.searcher import ScheduleSearcher, SearchResult
 from repro.core.signature import (
     BlockMemo,
+    BlockRecord,
     GraphSignature,
     compute_signature,
     context_fingerprint,
@@ -261,11 +262,15 @@ class OnlinePlanner:
         makes a repeated microbatch shape cheap: it is neither re-hashed
         nor re-grouped (so no group map is built here), and from its
         third sighting its block is assembled from a stored graph
-        fragment instead of being re-emitted.  The result feeds
-        :meth:`plan_prepared` (directly, or through a
-        :class:`~repro.service.PlanService` queue).
+        fragment instead of being re-emitted.  The signature is computed
+        from the builder's block records, and the context is hashed once
+        for both.  The result feeds :meth:`plan_prepared` (directly, or
+        through a :class:`~repro.service.PlanService` queue).
         """
         memo = self._block_memo if self.cache is not None else None
+        context = self.context_digest() if memo is not None else ""
+        blocks: Optional[List[BlockRecord]] = [] if memo is not None \
+            else None
         graph = build_iteration_graph(
             self.arch,
             self.plan,
@@ -275,7 +280,8 @@ class OnlinePlanner:
             self.cost_model,
             partitioner=self.partitioner,
             memo=memo,
-            context=self.context_digest() if memo is not None else "",
+            context=context,
+            blocks=blocks,
         )
         if memo is None:
             return PreparedIteration(graph=graph)
@@ -286,7 +292,8 @@ class OnlinePlanner:
             self.cost_model,
             extra=self.searcher.fingerprint(),
             memo=memo,
-            batch=batch,
+            blocks=blocks,
+            context=context,
         )
         # Near misses only help when the search can consume a seed; keep
         # the warm-rate telemetry honest for natural / single-group runs.

@@ -39,6 +39,7 @@ from repro.core.memopt import (
 from repro.core.schedule import PipelineSchedule
 from repro.core.stages import GroupKey, IterationGraph
 from repro.sim.costmodel import CostModel
+from repro.sim.kernel import P2PTable
 from repro.sim.pipeline import simulate_pipeline
 
 #: Every ordering search ends after this many consecutive evaluations
@@ -48,6 +49,13 @@ from repro.sim.pipeline import simulate_pipeline
 #: 120 to ~50 and raises the mean makespan by 0.03-0.06% (3 workload
 #: seeds x 64 batches).
 ORDERING_PATIENCE = 30
+
+#: Hop latencies the replays' shared transfer table memoises before it is
+#: rebuilt.  A hop is keyed on its byte count, which follows the
+#: microbatch shape: VLM streams repeat a few dozen shapes, but T2V
+#: shapes never repeat, so without a bound a serving process's table
+#: would grow with every replayed T2V batch (~50 hops each).
+REPLAY_P2P_CAPACITY = 1024
 
 
 @dataclass
@@ -172,6 +180,7 @@ class ScheduleSearcher:
         self.rel_gap = rel_gap
         self.invert = invert
         self.seed = seed
+        self._p2p: Optional[P2PTable] = None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -316,6 +325,18 @@ class ScheduleSearcher:
 
     # -- cache replay --------------------------------------------------------
 
+    def _replay_p2p(self) -> P2PTable:
+        """The transfer table replays share, rebuilt when the cost model
+        is swapped (:meth:`~repro.core.planner.OnlinePlanner.set_cost_model`
+        assigns ``cost_model``; cluster and layout are fixed) or when it
+        holds :data:`REPLAY_P2P_CAPACITY` hops."""
+        table = self._p2p
+        if (table is None or table.cost_model is not self.cost_model
+                or len(table) >= REPLAY_P2P_CAPACITY):
+            table = self._p2p = P2PTable(self.cluster, self.parallel,
+                                         self.cost_model)
+        return table
+
     def replay(
         self,
         graph: IterationGraph,
@@ -355,6 +376,7 @@ class ScheduleSearcher:
         order = decode_order(cached, signature)
         predicted = simulate_pipeline(
             graph, order, self.cluster, self.parallel, self.cost_model,
+            p2p=self._replay_p2p(),
         )
         schedule = PipelineSchedule(
             graph=graph,

@@ -12,7 +12,11 @@ emits each microbatch's stages and pairs as one contiguous, self-contained
 block (all dependency edges stay inside the block).  Canonicalisation
 therefore:
 
-1. splits the graph into per-microbatch blocks,
+1. takes the per-microbatch blocks from the builder's
+   :class:`BlockRecord` spans, or, for a graph built without them (or
+   a batch with repeated microbatch indices), splits the graph itself,
+   falling back to one whole-graph block when a microbatch's stages are
+   not one self-contained span,
 2. hashes every block with uids, pair ids and microbatch indices
    rewritten relative to the block (shape, ranks, latencies, memory
    residency and dependency structure all contribute; the memory-
@@ -20,10 +24,11 @@ therefore:
    costs and layer counts, so it is fingerprinted implicitly) and counts
    its segment groups — its distinct (module, direction) pairs.  Both
    facts are pure functions of (context digest, microbatch metadata),
-   so an optional :class:`BlockMemo` keyed on that pair lets a repeated
-   microbatch shape skip the hashing, and lets the signature's group
-   count skip :meth:`IterationGraph.groups`; the whole-graph fallback
-   block never uses the memo,
+   so a :class:`BlockMemo` keyed on that pair (through the records)
+   lets a repeated microbatch shape skip the hashing, and lets the
+   signature's group count skip :meth:`IterationGraph.groups`; a block
+   assembled from a graph fragment carries both facts and its feature
+   inputs, so it is not scanned at all,
 3. sorts the blocks by their digest — the canonical block order — and
    hashes the sorted sequence together with the graph-level constants
    and a *context* digest covering the :class:`ClusterSpec`,
@@ -44,11 +49,14 @@ import dataclasses
 import hashlib
 import operator
 import threading
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
-from repro.core.stages import GroupKey, IterationGraph, SegmentKey
+from repro.core.stages import Direction, GroupKey, IterationGraph, SegmentKey
 from repro.data.batching import Microbatch
 from repro.sim.costmodel import CostModel
 
@@ -68,6 +76,9 @@ FRAGMENT_MEMO_CAPACITY = 128
 
 #: ``BlockInfo.microbatch`` of :func:`_split_blocks`' whole-graph block.
 WHOLE_GRAPH = -1
+
+#: ``Direction`` by value, for decoding canonical group keys.
+_DIRECTIONS = {direction.value: direction for direction in Direction}
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,29 @@ class BlockInfo:
         return self.pair_stop - self.pair_start
 
 
+class BlockRecord(NamedTuple):
+    """One microbatch's block as the builder laid it down.
+
+    Attributes:
+        microbatch: The microbatch's ``index``.
+        uid_start / uid_stop / pair_start / pair_stop: The block's stage
+            and pair spans (stops exclusive).
+        memo_key: The block's :class:`BlockMemo` key, ``(context digest,
+            shape)``; ``None`` when the graph was built without a memo.
+        fragment: The :class:`~repro.core.graphbuilder.GraphFragment`
+            the block was assembled from, or ``None`` for an emitted
+            block.
+    """
+
+    microbatch: int
+    uid_start: int
+    uid_stop: int
+    pair_start: int
+    pair_stop: int
+    memo_key: Optional[Tuple]
+    fragment: Optional[object]
+
+
 @dataclass
 class GraphSignature:
     """Canonical fingerprint of one iteration graph.
@@ -110,68 +144,81 @@ class GraphSignature:
     blocks: List[BlockInfo]
     num_ranks: int
 
-    # Derived uid / pair translation tables (actual <-> canonical).
-    _uid_to_canonical: List[int] = field(default_factory=list, repr=False)
-    _canonical_to_uid: List[int] = field(default_factory=list, repr=False)
-    _pair_to_canonical: List[int] = field(default_factory=list, repr=False)
-    _canonical_to_pair: List[int] = field(default_factory=list, repr=False)
-    _mb_to_canonical: Dict[int, int] = field(default_factory=dict, repr=False)
+    # uid / pair / microbatch translation tables (actual <-> canonical),
+    # built on first use: a signature that is only compared, hashed or
+    # shipped never builds them.  One tuple, published by one assignment,
+    # so concurrent first uses cannot see half-built tables.
+    _tables: Optional[Tuple] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
-    def __post_init__(self) -> None:
-        num_stages = sum(b.num_stages for b in self.blocks)
-        num_pairs = sum(b.num_pairs for b in self.blocks)
-        self._uid_to_canonical = [0] * num_stages
-        self._canonical_to_uid = [0] * num_stages
-        self._pair_to_canonical = [0] * num_pairs
-        self._canonical_to_pair = [0] * num_pairs
-        uid_cursor = 0
-        pair_cursor = 0
-        for canon_index, block in enumerate(self.blocks):
-            for offset in range(block.num_stages):
-                actual = block.uid_start + offset
-                canonical = uid_cursor + offset
-                self._uid_to_canonical[actual] = canonical
-                self._canonical_to_uid[canonical] = actual
-            for offset in range(block.num_pairs):
-                actual = block.pair_start + offset
-                canonical = pair_cursor + offset
-                self._pair_to_canonical[actual] = canonical
-                self._canonical_to_pair[canonical] = actual
-            self._mb_to_canonical[block.microbatch] = canon_index
-            uid_cursor += block.num_stages
-            pair_cursor += block.num_pairs
+    def _translation(self) -> Tuple:
+        tables = self._tables
+        if tables is None:
+            num_stages = sum(b.num_stages for b in self.blocks)
+            num_pairs = sum(b.num_pairs for b in self.blocks)
+            uid_to_canonical = [0] * num_stages
+            canonical_to_uid: List[int] = []
+            pair_to_canonical = [0] * num_pairs
+            canonical_to_pair: List[int] = []
+            mb_to_canonical: Dict[int, int] = {}
+            for canon_index, block in enumerate(self.blocks):
+                uid_cursor = len(canonical_to_uid)
+                pair_cursor = len(canonical_to_pair)
+                uid_to_canonical[block.uid_start:block.uid_stop] = range(
+                    uid_cursor, uid_cursor + block.num_stages)
+                pair_to_canonical[block.pair_start:block.pair_stop] = range(
+                    pair_cursor, pair_cursor + block.num_pairs)
+                canonical_to_uid.extend(range(block.uid_start,
+                                              block.uid_stop))
+                canonical_to_pair.extend(range(block.pair_start,
+                                               block.pair_stop))
+                mb_to_canonical[block.microbatch] = canon_index
+            tables = self._tables = (uid_to_canonical, canonical_to_uid,
+                                     pair_to_canonical, canonical_to_pair,
+                                     mb_to_canonical)
+        return tables
 
     # -- translation ---------------------------------------------------------
 
     @property
     def num_stages(self) -> int:
-        return len(self._uid_to_canonical)
+        return len(self._translation()[0])
 
     @property
     def num_pairs(self) -> int:
-        return len(self._pair_to_canonical)
+        return len(self._translation()[2])
 
     @property
     def num_groups(self) -> int:
         """Segment groups of the graph (the ordering search's unit)."""
         return int(self.features[2])
 
+    @property
+    def canonical_to_uid(self) -> List[int]:
+        """Actual stage uid of each canonical uid (read-only)."""
+        return self._translation()[1]
+
+    @property
+    def canonical_to_pair(self) -> List[int]:
+        """Actual pair id of each canonical pair id (read-only)."""
+        return self._translation()[3]
+
     def canonical_uid(self, uid: int) -> int:
-        return self._uid_to_canonical[uid]
+        return self._translation()[0][uid]
 
     def actual_uid(self, canonical: int) -> int:
-        return self._canonical_to_uid[canonical]
+        return self._translation()[1][canonical]
 
     def canonical_pair(self, pair_id: int) -> int:
-        return self._pair_to_canonical[pair_id]
+        return self._translation()[2][pair_id]
 
     def actual_pair(self, canonical: int) -> int:
-        return self._canonical_to_pair[canonical]
+        return self._translation()[3][canonical]
 
     def canonical_group(self, key: GroupKey) -> Tuple[int, str, str]:
         """Rewrite a group key into canonical-microbatch space."""
         return (
-            self._mb_to_canonical[key.microbatch],
+            self._translation()[4][key.microbatch],
             key.module,
             key.direction.value,
         )
@@ -183,11 +230,9 @@ class GraphSignature:
             IndexError: if the canonical microbatch slot does not exist in
                 this graph (fewer microbatches than the cached one).
         """
-        from repro.core.stages import Direction
-
         block_index, module, direction = canonical
         block = self.blocks[block_index]
-        return GroupKey(block.microbatch, module, Direction(direction))
+        return GroupKey(block.microbatch, module, _DIRECTIONS[direction])
 
 
 def _f(value: float) -> str:
@@ -240,7 +285,9 @@ class BlockMemo:
       by :func:`~repro.core.graphbuilder.build_iteration_graph`.  A
       fragment is admitted only for a shape whose facts are already
       stored, i.e. on the shape's second sighting, so a stream of
-      shapes that never repeat stores none; at most
+      shapes that never repeat stores none; it copies those facts and
+      the block's :func:`block_costs`, so :func:`compute_signature`
+      reads an assembled block from its record alone; at most
       :data:`FRAGMENT_MEMO_CAPACITY` entries.
 
     The memo also interns the :class:`SegmentKey` objects assembled
@@ -399,26 +446,90 @@ def _block_groups(block_stages) -> int:
                 for stage in block_stages})
 
 
-def _features(graph: IterationGraph, num_blocks: int,
-              num_groups: int) -> Tuple[float, ...]:
-    """Scale features driving the near-miss distance metric."""
+def block_costs(stages, pairs, pair_start: int, pair_stop: int) -> Tuple:
+    """A block's signature-feature inputs, under the current selections:
+    ``(ranks, latencies, costs)`` — per stage of ``stages`` its rank and
+    latency, per pair of ``pairs[pair_start:pair_stop]`` its
+    :class:`~repro.sim.costmodel.StageCost` (``pairs`` is indexed by pair
+    id).  Compact, since graph fragments keep them."""
+    ranks = []
+    latencies = array("d")
+    for stage in stages:
+        pair = pairs[stage.pair_id]
+        latency = (pair.forward_ms() if stage.is_forward
+                   else pair.backward_ms())
+        ranks.append(stage.rank)
+        latencies.append(latency * stage.latency_share)
+    costs = tuple(pair.cost for pair in pairs[pair_start:pair_stop])
+    return tuple(ranks), latencies, costs
+
+
+def _features(num_ranks: int, costs: Sequence[Tuple], num_blocks: int,
+              num_stages: int, num_groups: int) -> Tuple[float, ...]:
+    """Scale features driving the near-miss distance metric.
+
+    ``costs`` are the graph's blocks' :func:`block_costs` in uid order,
+    so every sum adds the same terms in the same order as one scan of
+    the graph's pairs and stages would.
+    """
+    busy = [0.0] * num_ranks
     total_fw = 0.0
     total_bw = 0.0
     total_act = 0.0
-    for pair in graph.pairs:
-        total_fw += pair.cost.forward_ms
-        total_bw += pair.cost.backward_ms
-        total_act += pair.cost.act_bytes
-    busy = graph.total_compute_ms_per_rank()
+    for ranks, latencies, pair_costs in costs:
+        for rank, latency in zip(ranks, latencies):
+            busy[rank] += latency
+        for cost in pair_costs:
+            total_fw += cost.forward_ms
+            total_bw += cost.backward_ms
+            total_act += cost.act_bytes
     return (
         float(num_blocks),
-        float(len(graph.stages)),
+        float(num_stages),
         float(num_groups),
         total_fw,
         total_bw,
         total_act / 2**30,  # GiB
         max(busy) if busy else 0.0,
     )
+
+
+def _blocks_from_records(graph: IterationGraph,
+                         records: Sequence[BlockRecord],
+                         memo: Optional[BlockMemo]):
+    """Blocks, group count and feature inputs of ``graph``'s blocks."""
+    blocks = []
+    costs = []
+    num_groups = 0
+    for record in records:
+        (mb, uid_start, uid_stop, pair_start, pair_stop, key,
+         fragment) = record
+        if uid_stop == uid_start:
+            continue  # a microbatch without stages has no block
+        if memo is None or mb == WHOLE_GRAPH:
+            key = fragment = None  # the whole-graph label stays off the memo
+        if fragment is not None:
+            digest, groups = fragment.digest, fragment.num_groups
+            costs.append(fragment.costs)
+        else:
+            block_stages = graph.stages[uid_start:uid_stop]
+            facts = memo.get(key) if key is not None else None
+            if facts is None:
+                facts = (
+                    _block_digest(graph, block_stages, pair_start,
+                                  uid_start),
+                    len(graph.groups()) if mb == WHOLE_GRAPH
+                    else _block_groups(block_stages),
+                )
+                if key is not None:
+                    memo.put(key, facts)
+            digest, groups = facts
+            costs.append(block_costs(block_stages, graph.pairs, pair_start,
+                                     pair_stop))
+        num_groups += groups
+        blocks.append(BlockInfo(mb, uid_start, uid_stop, pair_start,
+                                pair_stop, digest))
+    return blocks, num_groups, costs
 
 
 def compute_signature(
@@ -428,7 +539,8 @@ def compute_signature(
     cost_model: CostModel,
     extra: Sequence = (),
     memo: Optional[BlockMemo] = None,
-    batch: Optional[Iterable] = None,
+    blocks: Optional[Sequence[BlockRecord]] = None,
+    context: Optional[str] = None,
 ) -> GraphSignature:
     """Fingerprint one iteration graph within a planning context.
 
@@ -439,46 +551,24 @@ def compute_signature(
         cluster / parallel / cost_model: The planning context.
         extra: Additional context (searcher fingerprint) folded into the
             digest.
-        memo: Per-shape block facts to read and fill; the signature is
-            identical with or without it.
-        batch: The microbatches ``graph`` was built from; required with
-            ``memo``, which it keys.  A batch with repeated indices is
-            fingerprinted without the memo.
+        memo: Per-shape block facts to read and fill, through the keys of
+            ``blocks``; the signature is identical with or without it.
+        blocks: The :class:`BlockRecord` list ``build_iteration_graph``
+            filled while building ``graph`` — valid only for that fresh
+            build, whose pairs still hold their default selections.
+            Without it, or for a batch with repeated microbatch indices,
+            the graph is split by :func:`_split_blocks` (whole-graph
+            fallback included) and ``memo`` is not consulted.
+        context: ``context_fingerprint(cluster, parallel, cost_model,
+            extra)`` when the caller already has it.
     """
-    context = context_fingerprint(cluster, parallel, cost_model, extra)
-    shapes: Dict[int, Hashable] = {}
-    if memo is not None:
-        if batch is None:
-            raise ValueError("a block memo needs the graph's batch")
-        microbatches = list(batch)
-        shapes = {mb.index: shape_key(mb) for mb in microbatches}
-        if len(shapes) != len(microbatches):
-            shapes = {}
-    blocks = []
-    num_groups = 0
-    for mb, uid_start, uid_stop, pair_start, pair_stop in _split_blocks(graph):
-        block_stages = graph.stages[uid_start:uid_stop]
-        key = (context, shapes[mb]) \
-            if mb in shapes and mb != WHOLE_GRAPH else None
-        facts = memo.get(key) if key is not None else None
-        if facts is None:
-            facts = (
-                _block_digest(graph, block_stages, pair_start, uid_start),
-                len(graph.groups()) if mb == WHOLE_GRAPH
-                else _block_groups(block_stages),
-            )
-            if key is not None:
-                memo.put(key, facts)
-        digest, groups = facts
-        num_groups += groups
-        blocks.append(BlockInfo(
-            microbatch=mb,
-            uid_start=uid_start,
-            uid_stop=uid_stop,
-            pair_start=pair_start,
-            pair_stop=pair_stop,
-            digest=digest,
-        ))
+    if context is None:
+        context = context_fingerprint(cluster, parallel, cost_model, extra)
+    if blocks is None or \
+            len({record.microbatch for record in blocks}) != len(blocks):
+        blocks = [BlockRecord(*span, None, None)
+                  for span in _split_blocks(graph)]
+    infos, num_groups, costs = _blocks_from_records(graph, blocks, memo)
     # Canonical order: by block shape first, digest second, original
     # position as a stable tiebreak (fully tied blocks are identical,
     # hence interchangeable).  Leading with the shape means *similar*
@@ -486,8 +576,8 @@ def compute_signature(
     # slots, which is what makes near-miss ordering transfer meaningful;
     # any deterministic content-only key keeps the digest
     # order-insensitive.
-    blocks.sort(key=lambda b: (b.num_stages, b.num_pairs, b.digest,
-                               b.uid_start))
+    infos.sort(key=lambda b: (b.num_stages, b.num_pairs, b.digest,
+                              b.uid_start))
 
     h = hashlib.sha256()
     h.update(context.encode())
@@ -495,14 +585,15 @@ def compute_signature(
     h.update(_f(graph.memory_limit_bytes).encode())
     for value in graph.static_bytes_per_rank:
         h.update(_f(value).encode())
-    for block in blocks:
+    for block in infos:
         h.update(block.digest.encode())
 
     return GraphSignature(
         digest=h.hexdigest(),
         context_digest=context,
-        features=_features(graph, len(blocks), num_groups),
-        blocks=blocks,
+        features=_features(graph.num_ranks, costs, len(infos),
+                           len(graph.stages), num_groups),
+        blocks=infos,
         num_ranks=graph.num_ranks,
     )
 

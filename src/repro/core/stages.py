@@ -249,22 +249,11 @@ class IterationGraph:
     def resident_bytes(self, stage: StageTask) -> float:
         return self.pairs[stage.pair_id].resident_bytes()
 
-    def stage_latencies(self) -> List[float]:
-        """:meth:`latency_ms` of every stage, by uid, with each pair's
-        forward and backward latency computed once."""
-        forward = [pair.forward_ms() for pair in self.pairs]
-        backward = [pair.backward_ms() for pair in self.pairs]
-        return [
-            (forward if stage.key.direction is Direction.FORWARD
-             else backward)[stage.pair_id] * stage.latency_share
-            for stage in self.stages
-        ]
-
     def total_compute_ms_per_rank(self) -> List[float]:
         """Lower-bound busy time per rank (sum of stage latencies)."""
         busy = [0.0] * self.num_ranks
-        for stage, latency in zip(self.stages, self.stage_latencies()):
-            busy[stage.rank] += latency
+        for stage in self.stages:
+            busy[stage.rank] += self.latency_ms(stage)
         return busy
 
     # -- groups --------------------------------------------------------------
@@ -289,9 +278,19 @@ class IterationGraph:
         return self._groups
 
     def apply_group_priorities(self, priorities: Dict[GroupKey, int]) -> None:
-        """Assign each stage the priority of its segment group."""
+        """Assign each stage the priority of its segment group.
+
+        The group is looked up once per run of stages sharing one key
+        object: blocks assembled from a graph fragment carry one interned
+        key per segment, on consecutive stages.
+        """
+        key = None
+        priority = 0
         for stage in self.stages:
-            stage.priority = priorities.get(stage.key.group, 0)
+            if stage.key is not key:
+                key = stage.key
+                priority = priorities.get(key.group, 0)
+            stage.priority = priority
 
     def stages_on_rank(self, rank: int) -> List[StageTask]:
         return [s for s in self.stages if s.rank == rank]

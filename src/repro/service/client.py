@@ -435,15 +435,17 @@ def submit_and_replay(client: PlanServiceClient, job: str,
                                  deadline_s=deadline_s,
                                  digest=prepared.signature.digest)
     t1 = time.monotonic()
-    remote_sig = signature_from_dict(response["signature"])
-    if remote_sig.digest != prepared.signature.digest:
+    remote_digest = response["signature"]["digest"]
+    if remote_digest != prepared.signature.digest:
         raise SignatureMismatchError(
-            f"server signature {remote_sig.digest[:12]} != local "
+            f"server signature {remote_digest[:12]} != local "
             f"{prepared.signature.digest[:12]} — the two processes "
             f"plan under different contexts (check model, cluster, "
             f"parallel layout, cost model and searcher flags)"
         )
-    plan = plan_from_dict(response["plan"])
+    # The reply's signature is the plan's own; decode it once.
+    plan = plan_from_dict(response["plan"],
+                          signature_from_dict(response["signature"]))
     result = planner.searcher.replay(prepared.graph, plan,
                                      prepared.signature)
     t2 = time.monotonic()

@@ -10,7 +10,8 @@ Two execution engines produce the timestamps:
 
 * the **kernel** path (:func:`repro.sim.kernel.simulate_order_kernel`)
   — a single topological pass over the combined dependency + order DAG,
-  used whenever latencies are deterministic (no ``jitter``);
+  used whenever latencies are deterministic (no ``jitter``); the same
+  pass collects activation residency for the memory timelines;
 * the round-robin **retry loop** — the only engine able to apply a
   per-stage ``jitter`` callback (jittered latencies make timestamps
   visit-order dependent).  With the identity jitter
@@ -24,12 +25,17 @@ Both charge P2P hops through one shared
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
 from repro.progress import drive_round_robin, format_stuck_ranks
 from repro.sim.costmodel import CostModel
-from repro.sim.kernel import P2PTable, simulate_order_kernel
+from repro.sim.kernel import (
+    P2PTable,
+    pair_profile,
+    residency_events,
+    simulate_order_kernel,
+)
 from repro.trace.events import TraceCollector, emit_sim_spans
 
 
@@ -84,7 +90,9 @@ def simulate_pipeline(
         jitter: Optional per-stage latency perturbation
             ``(uid, base_ms) -> ms`` — used by the reference "hardware"
             simulator.  Selects the retry-loop engine.
-        track_memory: Compute memory timelines (small extra cost).
+        track_memory: Compute memory timelines.  On the kernel path the
+            residency is collected in the timestamping pass; the retry
+            loop makes a second pass over the stages.
         collector: Optional :class:`~repro.trace.events.TraceCollector`
             the executed timeline (compute + P2P comm spans) is emitted
             into.
@@ -102,11 +110,13 @@ def simulate_pipeline(
         p2p = P2PTable(cluster, parallel, cost_model)
 
     if jitter is None:
-        start, end, busy = simulate_order_kernel(
-            graph, order, p2p, error_cls=ScheduleDeadlockError
+        start, end, busy, events = simulate_order_kernel(
+            graph, order, p2p, error_cls=ScheduleDeadlockError,
+            track_memory=track_memory,
         )
     else:
         start, end, busy = _simulate_retry_loop(graph, order, p2p, jitter)
+        events = _residency_pass(graph, end) if track_memory else None
 
     total = max(end) if end else 0.0
     if total > 0:
@@ -118,8 +128,8 @@ def simulate_pipeline(
     peaks: List[float] = list(graph.static_bytes_per_rank)
     timelines: List[List[Tuple[float, float]]] = [[] for _ in range(graph.num_ranks)]
     exceeded: List[int] = []
-    if track_memory:
-        peaks, timelines, exceeded = _memory_accounting(graph, start, end)
+    if events is not None:
+        peaks, timelines, exceeded = _memory_profile(graph, events)
 
     if collector is not None:
         collector.meta.total_ms = total
@@ -218,42 +228,46 @@ def _check_order_covers(graph, order: Sequence[Sequence[int]]) -> None:
         raise ValueError(f"order misses {missing} stages")
 
 
-def _memory_accounting(
-    graph, start: List[float], end: List[float]
-) -> Tuple[List[float], List[List[Tuple[float, float]]], List[int]]:
-    """Activation residency: forward end -> paired backward end."""
-    events: List[List[Tuple[float, float]]] = [[] for _ in range(graph.num_ranks)]
-    bw_end_by_pair: Dict[int, float] = {}
+def _residency_pass(graph, end: List[float]) -> List[List[Tuple[float, float]]]:
+    """:func:`~repro.sim.kernel.residency_events` from finished end
+    times, in a pass of its own (the retry-loop engine's path)."""
+    _forward, _backward, resident = pair_profile(graph.pairs)
+    release_ms = [0.0] * len(resident)
+    forward_stages = []
     for stage in graph.stages:
-        if not stage.is_forward and stage.releases_memory:
-            previous = bw_end_by_pair.get(stage.pair_id, 0.0)
-            bw_end_by_pair[stage.pair_id] = max(previous, end[stage.uid])
-    for stage in graph.stages:
-        if not stage.is_forward:
-            continue
-        resident = graph.resident_bytes(stage)
-        if resident <= 0:
-            continue
-        born = end[stage.uid]
-        died = bw_end_by_pair.get(stage.pair_id, born)
-        events[stage.rank].append((born, resident))
-        events[stage.rank].append((max(died, born), -resident))
+        if stage.is_forward:
+            forward_stages.append(stage)
+        elif stage.releases_memory:
+            pair_id = stage.pair_id
+            if end[stage.uid] > release_ms[pair_id]:
+                release_ms[pair_id] = end[stage.uid]
+    return residency_events(graph.num_ranks, forward_stages, end,
+                            release_ms, resident)
 
+
+def _memory_profile(
+    graph, events: List[List[Tuple[float, float]]]
+) -> Tuple[List[float], List[List[Tuple[float, float]]], List[int]]:
+    """Per-rank peaks, usage timelines and over-limit ranks from the
+    residency events (sorted in place)."""
     peaks: List[float] = []
     timelines: List[List[Tuple[float, float]]] = []
     exceeded: List[int] = []
-    for rank in range(graph.num_ranks):
+    limit = graph.memory_limit_bytes
+    for rank, rank_events in enumerate(events):
         static = graph.static_bytes_per_rank[rank]
-        evs = sorted(events[rank], key=lambda e: (e[0], -e[1]))
+        rank_events.sort()
         current = static
         peak = static
         timeline: List[Tuple[float, float]] = [(0.0, static)]
-        for t, delta in evs:
-            current += delta
-            peak = max(peak, current)
-            timeline.append((t, current))
+        append = timeline.append
+        for t, negated in rank_events:
+            current -= negated
+            if current > peak:
+                peak = current
+            append((t, current))
         peaks.append(peak)
         timelines.append(timeline)
-        if peak > graph.memory_limit_bytes:
+        if peak > limit:
             exceeded.append(rank)
     return peaks, timelines, exceeded

@@ -1,14 +1,15 @@
 """The per-shape block memo of ``OnlinePlanner.prepare``.
 
 A memoised ``prepare`` must build and fingerprint every batch exactly as
-the memo-free :func:`build_iteration_graph` and :func:`compute_signature`
-do on a fresh build of the same batch: the same graph field for field
-(stages, pairs, dependents, graph constants, groups), the same digest,
-canonical blocks (order, spans, digests) and features, the same
-``allow_near``.  The differential runs over every workload generator and
-seed the served-plan benchmark and ``benchmarks/`` use, first with an
-empty memo (misses), then again (block facts hit, fragments recorded)
-and a third time (blocks assembled from fragments).
+the memo-free :func:`build_iteration_graph` and the whole-graph scan of
+``hitpath_oracle.split_signature`` do on a fresh build of the same batch:
+the same graph field for field (stages, pairs, dependents, graph
+constants, groups), the same digest, canonical blocks (order, spans,
+digests) and features, the same ``allow_near``.  The differential runs
+over every workload generator and seed the served-plan benchmark and
+``benchmarks/`` use, first with an empty memo (misses), then again
+(block facts hit, fragments recorded) and a third time (blocks assembled
+from fragments).
 
 The perf guards count work instead of timing it: a repeated ``prepare``
 hashes no block and builds no group map, and once a shape's fragment is
@@ -22,6 +23,7 @@ import sys
 import threading
 
 import pytest
+from hitpath_oracle import split_signature
 
 from repro.cli import _setup
 from repro.core import graphbuilder
@@ -75,14 +77,20 @@ def fresh_graph(planner, batch, **kwargs):
     )
 
 
+def oracle_signature(planner, graph):
+    return split_signature(graph, planner.cluster, planner.parallel,
+                           planner.cost_model,
+                           extra=planner.searcher.fingerprint())
+
+
 def fresh_reference(planner, batch):
-    """Memo-free fingerprint of a fresh build, its group count and the
-    build."""
+    """The oracle's fingerprint of a fresh build, its group count and
+    the build."""
     graph = fresh_graph(planner, batch)
-    signature = compute_signature(
+    signature = oracle_signature(planner, graph)
+    assert compute_signature(
         graph, planner.cluster, planner.parallel, planner.cost_model,
-        extra=planner.searcher.fingerprint(),
-    )
+        extra=planner.searcher.fingerprint()) == signature
     allow_near = (planner.searcher.supports_warm_start
                   and len(graph.groups()) > 1)
     return signature, allow_near, len(graph.groups()), graph
@@ -255,43 +263,62 @@ def cross_block_graph(planner):
     )
 
 
-def test_whole_graph_fallback_bypasses_memo(monkeypatch):
-    planner = make_planner("VLM-S")
-    batch, graph = cross_block_graph(planner)
-
+def untouchable_memo(monkeypatch):
     def untouchable(*_args):
-        raise AssertionError("the whole-graph block consulted the memo")
+        raise AssertionError("the signature consulted the memo")
 
     monkeypatch.setattr(BlockMemo, "get", untouchable)
     monkeypatch.setattr(BlockMemo, "put", untouchable)
+
+
+def test_whole_graph_fallback_bypasses_memo(monkeypatch):
+    planner = make_planner("VLM-S")
+    _batch, graph = cross_block_graph(planner)
+    untouchable_memo(monkeypatch)
     args = (graph, planner.cluster, planner.parallel, planner.cost_model)
-    memoised = compute_signature(*args, memo=BlockMemo(), batch=batch)
+    memoised = compute_signature(*args, memo=BlockMemo())
     assert [b.microbatch for b in memoised.blocks] == [WHOLE_GRAPH]
     assert graph._groups is not None  # counted by groups(), as before
     assert memoised.num_groups == len(graph.groups())
     assert memoised == compute_signature(*args)
+    assert memoised == split_signature(*args)
 
 
-def test_memo_needs_the_batch():
+def test_memo_needs_the_block_records(monkeypatch):
+    """Without the builder's records the graph is split and scanned,
+    and the memo, whose keys the records carry, is not consulted."""
     planner = make_planner("VLM-S")
-    graph = planner.prepare(controlled_batch([4])).graph
-    with pytest.raises(ValueError):
-        compute_signature(graph, planner.cluster, planner.parallel,
-                          planner.cost_model, memo=BlockMemo())
+    batch = controlled_batch([4, 8])
+    for _ in range(PASSES):
+        graph = planner.prepare(batch).graph
+    untouchable_memo(monkeypatch)
+    args = (graph, planner.cluster, planner.parallel, planner.cost_model,
+            planner.searcher.fingerprint())
+    assert compute_signature(*args, memo=planner._block_memo) == \
+        split_signature(*args)
 
 
 def test_repeated_indices_skip_the_memo():
     """Two consecutive microbatches with one index make one block; its
-    label names two shapes, so the memo must stay out of it."""
+    label names two shapes, so the records and the memo must stay out
+    of it, even once the shapes' fragments are stored."""
     planner = make_planner("VLM-S")
     batch = GlobalBatch([controlled_vlm_microbatch(0, 4),
                          controlled_vlm_microbatch(0, 8)])
-    memo = BlockMemo()
-    graph = planner.prepare(batch).graph
+    for _ in range(PASSES):
+        planner.prepare(controlled_batch([4, 8]))
+    memo = planner._block_memo
+    facts = len(memo)
+    records = []
+    graph = fresh_graph(planner, batch, memo=memo,
+                        context=planner.context_digest(), blocks=records)
+    assert [record.fragment is not None for record in records] == \
+        [True, True]
     args = (graph, planner.cluster, planner.parallel, planner.cost_model)
-    assert compute_signature(*args, memo=memo, batch=batch) == \
-        compute_signature(*args)
-    assert len(memo) == 0
+    signature = compute_signature(*args, memo=memo, blocks=records)
+    assert signature == split_signature(*args)
+    assert [b.microbatch for b in signature.blocks] == [0]
+    assert len(memo) == facts
 
 
 def test_decoupled_backward_fragments_match_fresh_builds():
@@ -304,15 +331,16 @@ def test_decoupled_backward_fragments_match_fresh_builds():
                for batch in vlm_workload(12, seed=seed).batches(2)]
     for _ in range(PASSES):
         for batch in batches:
+            records = []
             graph = fresh_graph(planner, batch, decoupled_backward=True,
-                                memo=memo, context=context)
+                                memo=memo, context=context, blocks=records)
             reference = fresh_graph(planner, batch, decoupled_backward=True)
             assert_same_graph(graph, reference)
             args = (planner.cluster, planner.parallel, planner.cost_model,
                     planner.searcher.fingerprint())
             assert compute_signature(graph, *args, memo=memo,
-                                     batch=batch) == \
-                compute_signature(reference, *args)
+                                     blocks=records, context=context) == \
+                split_signature(reference, *args)
     assert memo.num_fragments > 0
     assert any(stage.latency_share == graphbuilder.DGRAD_SHARE
                for stage in graph.stages)
