@@ -113,6 +113,9 @@ class BlockRecord(NamedTuple):
         fragment: The :class:`~repro.core.graphbuilder.GraphFragment`
             the block was assembled from, or ``None`` for an emitted
             block.
+        whole_graph: The block is :func:`_split_blocks`' whole-graph
+            fallback (labelled :data:`WHOLE_GRAPH`), not a microbatch's;
+            a microbatch may carry any index, ``WHOLE_GRAPH`` included.
     """
 
     microbatch: int
@@ -122,6 +125,7 @@ class BlockRecord(NamedTuple):
     pair_stop: int
     memo_key: Optional[Tuple]
     fragment: Optional[object]
+    whole_graph: bool = False
 
 
 @dataclass
@@ -397,12 +401,12 @@ def _block_digest(graph: IterationGraph, block_stages, pair_start: int,
     return h.hexdigest()
 
 
-def _split_blocks(graph: IterationGraph) -> List[Tuple[int, int, int, int, int]]:
-    """(microbatch, uid_start, uid_stop, pair_start, pair_stop) slices.
+def _split_blocks(graph: IterationGraph) -> List[BlockRecord]:
+    """One :class:`BlockRecord` per microbatch slice, without memo keys.
 
-    Falls back to a single whole-graph block if the builder's
-    one-contiguous-block-per-microbatch invariant does not hold (e.g. a
-    hand-built graph with cross-microbatch dependencies).
+    Falls back to a single whole-graph block, marked ``whole_graph``, if
+    the builder's one-contiguous-block-per-microbatch invariant does not
+    hold (e.g. a hand-built graph with cross-microbatch dependencies).
     """
     spans: List[Tuple[int, int, int, int, int]] = []
     current_mb = None
@@ -418,8 +422,9 @@ def _split_blocks(graph: IterationGraph) -> List[Tuple[int, int, int, int, int]]
             span[3] = min(span[3], stage.pair_id)
             span[4] = max(span[4], stage.pair_id + 1)
 
-    def whole_graph() -> List[Tuple[int, int, int, int, int]]:
-        return [(WHOLE_GRAPH, 0, len(graph.stages), 0, len(graph.pairs))]
+    def whole_graph() -> List[BlockRecord]:
+        return [BlockRecord(WHOLE_GRAPH, 0, len(graph.stages), 0,
+                            len(graph.pairs), None, None, True)]
 
     if len({s[0] for s in spans}) != len(spans):
         return whole_graph()  # a microbatch's stages are not contiguous
@@ -437,7 +442,7 @@ def _split_blocks(graph: IterationGraph) -> List[Tuple[int, int, int, int, int]]
                     return whole_graph()  # cross-block dependency
     if spans and spans[-1][4] != len(graph.pairs):
         return whole_graph()
-    return [tuple(s) for s in spans]
+    return [BlockRecord(*span, None, None) for span in spans]
 
 
 def _block_groups(block_stages) -> int:
@@ -503,11 +508,11 @@ def _blocks_from_records(graph: IterationGraph,
     num_groups = 0
     for record in records:
         (mb, uid_start, uid_stop, pair_start, pair_stop, key,
-         fragment) = record
+         fragment, whole_graph) = record
         if uid_stop == uid_start:
             continue  # a microbatch without stages has no block
-        if memo is None or mb == WHOLE_GRAPH:
-            key = fragment = None  # the whole-graph label stays off the memo
+        if memo is None or whole_graph:
+            key = fragment = None  # the whole graph stays off the memo
         if fragment is not None:
             digest, groups = fragment.digest, fragment.num_groups
             costs.append(fragment.costs)
@@ -518,7 +523,7 @@ def _blocks_from_records(graph: IterationGraph,
                 facts = (
                     _block_digest(graph, block_stages, pair_start,
                                   uid_start),
-                    len(graph.groups()) if mb == WHOLE_GRAPH
+                    len(graph.groups()) if whole_graph
                     else _block_groups(block_stages),
                 )
                 if key is not None:
@@ -566,8 +571,7 @@ def compute_signature(
         context = context_fingerprint(cluster, parallel, cost_model, extra)
     if blocks is None or \
             len({record.microbatch for record in blocks}) != len(blocks):
-        blocks = [BlockRecord(*span, None, None)
-                  for span in _split_blocks(graph)]
+        blocks = _split_blocks(graph)
     infos, num_groups, costs = _blocks_from_records(graph, blocks, memo)
     # Canonical order: by block shape first, digest second, original
     # position as a stable tiebreak (fully tied blocks are identical,

@@ -14,7 +14,10 @@ optimality gap (default 5%).  The gap is proven against a lower bound:
   knapsack over each pair's convex (memory, latency) hull.  A warm start
   within ``rel_gap`` of it is returned with no node expanded.
 * **Fallback.**  Other instances run best-first branch-and-bound from the
-  warm start until the gap closes or the node budget runs out.
+  warm start until the gap closes or the node budget runs out.  Its
+  nodes are compact: a ``(bound, id)`` heap entry plus parent, choice
+  and latency in flat arrays, with clique usage kept only for expanded
+  nodes.
 
 :attr:`McIntervalSolution.optimal` means "certified within ``rel_gap``",
 and :attr:`McIntervalSolution.gap` is the certified relative gap.
@@ -23,9 +26,9 @@ and :attr:`McIntervalSolution.gap` is the certified relative gap.
 from __future__ import annotations
 
 import heapq
-import itertools
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -36,9 +39,9 @@ class McIntervalProblem:
         latencies: ``latencies[i][j]`` — latency of candidate ``j`` of
             pair ``i``.
         memories: Matching memory residencies.
-        cliques: Each clique lists the pair indices simultaneously
-            resident at one probe time; their chosen memories must sum to
-            at most ``limit``.
+        cliques: Each clique lists the distinct pair indices
+            simultaneously resident at one probe time; their chosen
+            memories must sum to at most ``limit``.
         limit: Memory limit (bytes) applying to every clique.
     """
 
@@ -264,6 +267,18 @@ def solve_mc_interval(
     pruned.  The search stops when the best open node is within
     ``rel_gap`` of the incumbent, or after ``node_limit`` expansions.
 
+    Nodes are compact.  A heap entry is ``(bound, node id)``, the id
+    being the push count that breaks ties.  Per node, flat arrays hold
+    the parent, the choice and the latency of the fixed pairs, added
+    parent to child.  The remaining minimum latency of every depth is
+    summed once.  Clique usage is stored once per expanded node with
+    open children: a node's usage is its parent's plus its choice's
+    extra memory on its pair's cliques.  A selection is rebuilt from the
+    parent chain only at a leaf.  The search pops, prunes and counts the
+    same nodes, with the same floating-point sums, as one whose nodes
+    carry their partial selection and clique usage (clique members being
+    distinct pairs).
+
     The solution's ``lower_bound`` is the best proven bound (root bound
     or search bound, whichever is higher; the latency itself once the
     search is exhaustive), and ``optimal`` reports whether the returned
@@ -306,17 +321,32 @@ def solve_mc_interval(
             optimal=True,
         )
 
-    counter = itertools.count()
-    # Node: (bound, tiebreak, depth, partial selection, clique slack used)
-    heap: List[Tuple[float, int, int, Tuple[int, ...], Tuple[float, ...]]] = []
-    heapq.heappush(
-        heap, (root_bound, next(counter), 0, (), tuple(clique_min))
-    )
+    # Compact nodes.  Node ``k`` is the ``k``-th node pushed, which is
+    # also its heap tie-break: it fixes the pair one level below node
+    # ``parent[k]`` to candidate ``choice[k]``, and ``lat[k]`` is the
+    # latency of its fixed pairs, added in depth order.  Only expanded
+    # nodes with open children keep more: the ``s``-th such node
+    # (``slot[k] == s``) sits at depth ``levels[s]`` and stores its
+    # clique usage at ``use[s * num_cliques:(s + 1) * num_cliques]``.
+    limit = problem.limit + 1e-6
+    num_cliques = len(clique_min)
+    remaining = [sum(min_lat[order[d]] for d in range(k, n))
+                 for k in range(n + 1)]
+    extra_of = [[mem - min_mem[i] for mem in problem.memories[i]]
+                for i in range(n)]
+    parent = array("l", [-1])
+    choice = array("l", [-1])
+    lat = array("d", [0.0])
+    slot: Dict[int, int] = {}
+    levels = array("l")
+    use = array("d")
+    heap: List[Tuple[float, int]] = [(root_bound, 0)]
+    pushed = 1
     nodes = 0
     global_lb = root_bound
 
     while heap:
-        bound, _tie, depth, partial, clique_use = heapq.heappop(heap)
+        bound, node = heapq.heappop(heap)
         global_lb = max(global_lb, min(bound, best_lat))
         if bound >= best_lat - 1e-9:
             break  # best-first: nothing better remains
@@ -325,39 +355,61 @@ def solve_mc_interval(
         if nodes >= node_limit:
             break
         nodes += 1
-        pair = order[depth]
-        fixed_lat = sum(
-            problem.latencies[order[d]][partial[d]] for d in range(depth)
-        )
-        for j in range(len(problem.latencies[pair])):
-            extra_mem = problem.memories[pair][j] - min_mem[pair]
-            new_use = list(clique_use)
-            feasible = True
-            for c in cliques_of_pair[pair]:
-                new_use[c] += extra_mem
-                if new_use[c] > problem.limit + 1e-6:
-                    feasible = False
-                    break
-            if not feasible:
+        if node:
+            # The parent's usage plus this node's extra memory on its
+            # pair's cliques.
+            above = slot[parent[node]]
+            level = levels[above] + 1
+            fixed = order[level - 1]
+            extra_mem = extra_of[fixed][choice[node]]
+            start = above * num_cliques
+            node_use = use[start:start + num_cliques].tolist()
+            for c in cliques_of_pair[fixed]:
+                node_use[c] += extra_mem
+        else:
+            level = 0
+            node_use = list(clique_min)
+        pair = order[level]
+        # Rounded addition is monotone, so a candidate overflows one of
+        # the pair's cliques exactly when it overflows the fullest one.
+        fullest = max((node_use[c] for c in cliques_of_pair[pair]),
+                      default=float("-inf"))
+        pair_extra = extra_of[pair]
+        fixed_lat = lat[node]
+        rest = remaining[level + 1]
+        leaf = level + 1 == n
+        cutoff = best_lat - 1e-9
+        first_child = pushed
+        for j, pair_lat in enumerate(problem.latencies[pair]):
+            if fullest + pair_extra[j] > limit:
                 continue
-            new_partial = partial + (j,)
-            lat_so_far = fixed_lat + problem.latencies[pair][j]
-            remaining = sum(min_lat[order[d]] for d in range(depth + 1, n))
-            new_bound = lat_so_far + remaining
-            if new_bound >= best_lat - 1e-9:
+            lat_so_far = fixed_lat + pair_lat
+            new_bound = lat_so_far + rest
+            if new_bound >= cutoff:
                 continue
-            if depth + 1 == n:
-                selection = [0] * n
-                for d, choice in enumerate(new_partial):
-                    selection[order[d]] = choice
-                if problem.is_feasible(selection):
-                    best_lat = new_bound
-                    incumbent = selection
-            else:
-                heapq.heappush(
-                    heap,
-                    (new_bound, next(counter), depth + 1, new_partial, tuple(new_use)),
-                )
+            if not leaf:
+                heapq.heappush(heap, (new_bound, pushed))
+                pushed += 1
+                parent.append(node)
+                choice.append(j)
+                lat.append(lat_so_far)
+                continue
+            # A leaf: rebuild its selection from the parent chain.
+            selection = [0] * n
+            selection[pair] = j
+            k, d = node, level
+            while k:
+                d -= 1
+                selection[order[d]] = choice[k]
+                k = parent[k]
+            if problem.is_feasible(selection):
+                best_lat = new_bound
+                incumbent = selection
+                cutoff = best_lat - 1e-9
+        if pushed > first_child:  # its children will need its usage
+            slot[node] = len(levels)
+            levels.append(level)
+            use.fromlist(node_use)
     else:
         global_lb = best_lat  # every node expanded or pruned: optimal
 

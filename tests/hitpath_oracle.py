@@ -21,7 +21,6 @@ import hashlib
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.signature import (
-    WHOLE_GRAPH,
     BlockInfo,
     GraphSignature,
     _block_digest,
@@ -39,9 +38,10 @@ def split_signature(graph, cluster, parallel, cost_model,
     context = context_fingerprint(cluster, parallel, cost_model, extra)
     blocks = []
     num_groups = 0
-    for mb, uid_start, uid_stop, pair_start, pair_stop in _split_blocks(graph):
+    for (mb, uid_start, uid_stop, pair_start, pair_stop, _key, _fragment,
+         whole_graph) in _split_blocks(graph):
         block_stages = graph.stages[uid_start:uid_stop]
-        num_groups += (len(graph.groups()) if mb == WHOLE_GRAPH
+        num_groups += (len(graph.groups()) if whole_graph
                        else _block_groups(block_stages))
         blocks.append(BlockInfo(
             microbatch=mb, uid_start=uid_start, uid_stop=uid_stop,

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from bnb_oracle import fallback_corpus
+
+from repro.cli import _setup, _workload
 from repro.cluster.topology import ParallelConfig, cluster_h800
 from repro.core.interleaver import interleave_stages
 from repro.core.memopt import (
@@ -13,6 +16,7 @@ from repro.core.memopt import (
     generate_candidates,
     optimize_memory,
 )
+from repro.core.plancache import encode_plan
 from repro.core.planner import OnlinePlanner
 from repro.data.workload import vlm_workload
 from repro.models.lmm import build_combination
@@ -183,6 +187,56 @@ class TestCertification:
         assert greedy.per_rank_gap == exact.per_rank_gap
         assert greedy.per_rank_optimal == exact.per_rank_optimal
         assert greedy.extra_ms_after == exact.extra_ms_after
+
+
+def _capped_batches():
+    """Each corpus batch whose memory ILP hit the node cap on some rank,
+    once: ``(model, microbatches, budget, workload seed, batch index)``
+    with the node cap and the ranks that hit it."""
+    batches = {}
+    for entry in fallback_corpus():
+        source = entry["source"]
+        key = (source["model"], source["microbatches"], source["budget"],
+               source["seed"], source["batch"])
+        limit, ranks = batches.setdefault(key, (entry["node_limit"], []))
+        if entry["oracle"]["nodes_expanded"] == limit:
+            ranks.append(source["rank"])
+    return [(key, limit, ranks) for key, (limit, ranks) in batches.items()
+            if ranks]
+
+
+CAPPED_BATCHES = _capped_batches()
+
+
+class TestCappedPlansFitMemory:
+    """Plans whose memory ILP stopped at the node cap stay within the
+    memory limit in simulation, searched and replayed from the cache."""
+
+    @pytest.mark.parametrize(
+        "source,node_limit,capped", CAPPED_BATCHES,
+        ids=["{}-{}-budget{}-seed{}-batch{}".format(*source)
+             for source, _limit, _ranks in CAPPED_BATCHES])
+    def test_capped_plan_and_replay_fit(self, source, node_limit, capped):
+        model, microbatches, budget, seed, index = source
+        arch, _cluster, _parallel, planner = _setup(model, budget, 0,
+                                                    plan_cache=False)
+        stream = _workload(arch, microbatches, seed)
+        for _ in range(index):
+            stream.next_batch()
+        batch = stream.next_batch()
+        result = planner.plan_iteration(batch)
+        nodes = result.memopt.per_rank_nodes
+        assert [r for r, n in enumerate(nodes) if n == node_limit] == capped
+        assert result.schedule.predicted.memory_exceeded == []
+
+        cached = _setup(model, budget, 0, plan_cache=True)[3]
+        prepared = cached.prepare(batch)
+        cached.cache.store(encode_plan(result, prepared.signature,
+                                       result.schedule.graph))
+        replayed = cached.plan_prepared(prepared)
+        assert replayed.cache_hit
+        assert replayed.schedule.predicted.memory_exceeded == []
+        assert replayed.total_ms == result.total_ms
 
 
 def scan_cliques(intervals):

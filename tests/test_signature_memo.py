@@ -298,6 +298,25 @@ def test_memo_needs_the_block_records(monkeypatch):
         split_signature(*args)
 
 
+def test_microbatch_indexed_like_the_whole_graph_block():
+    """``WHOLE_GRAPH`` (-1) is also a valid microbatch index: only the
+    split's own fallback block counts the whole graph's groups, on the
+    builder's records (memo misses, facts, fragments) and on the split
+    path alike."""
+    planner = make_planner("VLM-S")
+    batch = controlled_batch([4, 8, 2], start_index=WHOLE_GRAPH)
+    for _ in range(PASSES):
+        signature = assert_same_fingerprint(planner, batch)
+        graph = fresh_graph(planner, batch)
+        groups = len(copy_graph(graph).groups())
+        split = compute_signature(
+            graph, planner.cluster, planner.parallel, planner.cost_model,
+            extra=planner.searcher.fingerprint())
+        assert [b.microbatch for b in split.blocks] != [WHOLE_GRAPH]
+        assert signature.num_groups == split.num_groups == groups == 12
+        assert split == signature
+
+
 def test_repeated_indices_skip_the_memo():
     """Two consecutive microbatches with one index make one block; its
     label names two shapes, so the records and the memo must stay out

@@ -1,4 +1,5 @@
-"""Tests for the solver substrate: MCKP, branch-and-bound, MILP backend."""
+"""Tests for the solver substrate: MCKP, branch-and-bound, MILP backend,
+and the compact-node search against its tuple-node oracle."""
 
 import itertools
 
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from repro.solver.bnb import (
     McIntervalProblem,
+    McIntervalSolution,
     greedy_warm_start,
     mc_interval_lower_bound,
     solve_mc_interval,
 )
 from repro.solver.mckp import mckp_min_latency
+from bnb_oracle import fallback_corpus, solve_mc_interval_oracle, traced_peak
 from milp_oracle import HAVE_MILP, solve_mc_interval_milp
 
 
@@ -347,3 +350,114 @@ class TestBranchAndBound:
         solution = solve_mc_interval(problem)
         assert solution.selection == []
         assert solution.latency == 0.0
+
+
+def same_solution(got, expected):
+    """All five fields equal: selection, latency, lower bound,
+    ``optimal`` and nodes expanded."""
+    assert got.selection == expected.selection
+    assert got.latency == expected.latency
+    assert got.lower_bound == expected.lower_bound
+    assert got.optimal == expected.optimal
+    assert got.nodes_expanded == expected.nodes_expanded
+
+
+#: Corpus problems with at most this many recorded nodes are re-solved by
+#: the live oracle too; the node-capped ones take the oracle seconds each.
+LIVE_ORACLE_NODES = 2_000
+
+CORPUS = fallback_corpus()
+
+
+def corpus_id(entry):
+    source = entry["source"]
+    return (f"{source['model']}-{source['microbatches']}-s{source['seed']}"
+            f"-b{source['batch']}-r{source['rank']}")
+
+
+class TestFallbackCorpus:
+    """The compact-node search against the tuple-node oracle on memory-ILP
+    problems captured from seeded planning streams."""
+
+    def test_corpus_covers_the_capped_ranks(self):
+        capped = [e for e in CORPUS
+                  if e["oracle"]["nodes_expanded"] == e["node_limit"]]
+        vlm_cold = [e for e in capped if e["source"]["microbatches"] == 16]
+        assert len(vlm_cold) >= 4
+        seed_101 = [e for e in CORPUS if e["source"]["microbatches"] == 12]
+        assert len(seed_101) == 3
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=corpus_id)
+    def test_matches_recorded_oracle(self, entry):
+        solution = solve_mc_interval(entry["instance"], **entry["kwargs"])
+        recorded = entry["oracle"]
+        same_solution(solution, McIntervalSolution(
+            selection=recorded["selection"], latency=recorded["latency"],
+            lower_bound=recorded["lower_bound"],
+            optimal=recorded["optimal"],
+            nodes_expanded=recorded["nodes_expanded"]))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [e for e in CORPUS
+         if e["oracle"]["nodes_expanded"] <= LIVE_ORACLE_NODES],
+        ids=corpus_id)
+    def test_matches_live_oracle(self, entry):
+        same_solution(
+            solve_mc_interval(entry["instance"], **entry["kwargs"]),
+            solve_mc_interval_oracle(entry["instance"], **entry["kwargs"]))
+
+    def test_capped_rank_memory(self):
+        """The largest capped problem peaks at a third of the oracle's
+        recorded traced bytes or less (a byte count, not a timing)."""
+        entry = max(CORPUS, key=lambda e: e["oracle"]["peak_traced_bytes"])
+        assert entry["oracle"]["nodes_expanded"] == entry["node_limit"]
+        peak = traced_peak(solve_mc_interval, entry["instance"],
+                           **entry["kwargs"])
+        assert 3 * peak <= entry["oracle"]["peak_traced_bytes"]
+
+
+@st.composite
+def small_problems(draw):
+    """Small problems, most of which the root bound cannot certify: the
+    candidates of a pair usually trade memory for latency (as the memory
+    ILP's do), values are often small integers so bounds tie, and the
+    cliques overlap under a limit that leaves room for few upgrades."""
+    pairs = draw(st.integers(1, 8))
+    value = (st.integers(0, 8).map(float) if draw(st.booleans())
+             else st.floats(0, 8, allow_nan=False, allow_infinity=False))
+    tradeoff = draw(st.booleans())
+    latencies, memories = [], []
+    for _ in range(pairs):
+        lats = draw(st.lists(value, min_size=1, max_size=4))
+        mems = draw(st.lists(value, min_size=len(lats),
+                             max_size=len(lats)))
+        if tradeoff:
+            lats, mems = sorted(lats, reverse=True), sorted(mems)
+        latencies.append(lats)
+        memories.append(mems)
+    cliques = draw(st.lists(
+        st.sets(st.integers(0, pairs - 1), min_size=1).map(sorted),
+        min_size=1, max_size=4))
+    low = max(sum(min(memories[i]) for i in c) for c in cliques)
+    high = max(sum(max(memories[i]) for i in c) for c in cliques)
+    limit = low + draw(st.floats(0, 0.8)) * (high - low)
+    return McIntervalProblem(latencies, memories, cliques, limit)
+
+
+class TestCompactNodes:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=small_problems(), rel_gap=st.sampled_from([0.0, 0.05]),
+           node_limit=st.sampled_from([0, 1, 7, 200_000]),
+           warm=st.booleans())
+    def test_matches_oracle(self, problem, rel_gap, node_limit, warm):
+        kwargs = dict(rel_gap=rel_gap, node_limit=node_limit,
+                      warm_start=greedy_warm_start(problem) if warm
+                      else None)
+        try:
+            expected = solve_mc_interval_oracle(problem, **kwargs)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=str(error)):
+                solve_mc_interval(problem, **kwargs)
+            return
+        same_solution(solve_mc_interval(problem, **kwargs), expected)
