@@ -208,7 +208,6 @@ def test_service_coalesces_and_outpaces_serial_planning(benchmark):
         "queue_peak": stats["max_queue_depth"],
         "cache": {
             "hits": cache_stats.hits,
-            "near_hits": cache_stats.near_hits,
             "misses": cache_stats.misses,
         },
     })

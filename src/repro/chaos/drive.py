@@ -14,10 +14,10 @@ Invariants checked, per planned batch:
    hang is the one failure mode retries cannot paper over.
 2. **Canonical plans** — every successful plan's makespan is
    *bit-identical* to the fault-free local baseline for the same
-   signature.  Near-miss warm starts are disabled everywhere, so a
-   plan is a pure function of (signature, context, seed): a corrupted
-   frame or a half-written disk entry that slipped through would show
-   up here as a makespan mismatch.
+   signature.  A plan is a pure function of (signature, context,
+   seed) whatever any cache holds, so a corrupted frame or a
+   half-written disk entry that slipped through would show up here as
+   a makespan mismatch.
 3. **Typed errors only** — the only exceptions allowed out of the
    client are :class:`~repro.service.requests.RemotePlanError` and its
    subclasses (deadline exhaustion included).  Raw transport errors
@@ -100,16 +100,12 @@ class ChaosReport:
 
 
 def _baseline_planner(model: str, budget: int, seed: int, cache_size: int):
-    """A fault-free local planner with near-miss warm starts disabled
-    — the oracle every fleet-served and degraded plan is compared to."""
+    """A fault-free local planner — the oracle every fleet-served and
+    degraded plan is compared to."""
     from repro.cli import _setup
 
-    _arch, _cluster, _parallel, planner = _setup(
-        model, budget, seed, plan_cache=True, cache_size=cache_size,
-    )
-    if planner.cache is not None:
-        planner.cache.near_miss = False
-    return planner
+    return _setup(model, budget, seed, plan_cache=True,
+                  cache_size=cache_size)[3]
 
 
 def run_scenario(
@@ -171,7 +167,6 @@ def run_scenario(
         budget=budget,
         seed=seed,
         cache_size=cache_size,
-        near_miss=False,
         restart_crashed=True,
         max_restarts=max_restarts,
         fault_specs=scenario.specs,

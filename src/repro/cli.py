@@ -136,12 +136,7 @@ def cmd_plan(args) -> int:
         predicted = report.search.schedule.predicted
         graph = report.search.schedule.graph
         value = mfu(graph.model_flops, report.train_ms, cluster.gpu, parallel)
-        if report.cache_hit:
-            plan_src = "cache hit"
-        elif report.warm_start:
-            plan_src = "warm search"
-        else:
-            plan_src = "cold search"
+        plan_src = "cache hit" if report.cache_hit else "cold search"
         print(f"iter {report.iteration}: {report.train_ms / 1e3:6.2f}s  "
               f"MFU {value:.3f}  bubble {predicted.bubble_ratio * 100:4.1f}%  "
               f"search {report.search_seconds:.2f}s  [{plan_src}]"
@@ -435,14 +430,12 @@ def _service_with_jobs(args, models, budget=None, fault_plan=None):
         # and disk tier), so per-site operation counters and the fault
         # log stay unified.
         disk_tier = DiskCacheTier(cache_dir, fault_plan=fault_plan)
-    near_miss = getattr(args, "near_miss", True)
     if cache_file:
         shared_cache = PlanCache.load(cache_file, capacity=args.cache_size,
-                                      disk_tier=disk_tier,
-                                      near_miss=near_miss)
-    elif disk_tier is not None or not near_miss:
+                                      disk_tier=disk_tier)
+    elif disk_tier is not None:
         shared_cache = PlanCache(capacity=args.cache_size,
-                                 disk_tier=disk_tier, near_miss=near_miss)
+                                 disk_tier=disk_tier)
     service = PlanService(num_workers=args.workers, max_queue=args.queue,
                           cache_size=args.cache_size,
                           plan_cache=shared_cache,
@@ -630,7 +623,6 @@ def cmd_fleet_serve(args) -> int:
         transport="tcp" if args.tcp else "uds",
         budget=args.budget, seed=args.seed, workers=args.workers,
         queue=args.queue, cache_size=args.cache_size,
-        near_miss=args.near_miss,
         serve_seconds=args.serve_seconds,
         restart_crashed=not args.no_restart,
         max_restarts=args.max_restarts,
@@ -1143,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
         # Only commands that drive an OnlinePlanner take these.
         p.add_argument("--plan-cache", action=argparse.BooleanOptionalAction,
                        default=True,
-                       help="reuse/warm-start plans for repeated batch "
+                       help="replay cached plans for repeated batch "
                             "shapes (--no-plan-cache disables)")
         p.add_argument("--cache-size", type=_positive_int, default=64,
                        help="plan-cache capacity (LRU entries)")
@@ -1290,12 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "on-disk tier under DIR (one file per "
                             "signature; cross-process safe — fleet "
                             "shards share one directory)")
-    serve.add_argument("--no-near-miss", dest="near_miss",
-                       action="store_false",
-                       help="disable near-miss warm starts so every "
-                            "search depends only on (signature, "
-                            "context, seed) — makes plans reproducible "
-                            "across cache states and fleet sizes")
     serve.add_argument("--trace-dir", default=None, metavar="DIR",
                        help="socket mode: emit per-request spans "
                             "(queue wait, cache lookup, search/replay) "
@@ -1354,12 +1340,6 @@ def build_parser() -> argparse.ArgumentParser:
     fserve.add_argument("--cache-size", type=_positive_int, default=64,
                         help="in-memory plan-cache capacity per shard")
     fserve.add_argument("--seed", type=int, default=0)
-    fserve.add_argument("--no-near-miss", dest="near_miss",
-                        action="store_false",
-                        help="disable near-miss warm starts on every "
-                             "shard (plans then depend only on "
-                             "signature + context + seed, identical "
-                             "across fleet sizes)")
     fserve.add_argument("--serve-seconds", type=float, default=None,
                         help="shards shut down after this many seconds "
                              "(default: wait for fleet-wide shutdown / "

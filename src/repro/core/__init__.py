@@ -12,8 +12,8 @@
 * :mod:`repro.core.searcher` — the three-phase decomposed search loop.
 * :mod:`repro.core.signature` — canonical iteration-graph signatures
   for incremental planning.
-* :mod:`repro.core.plancache` — LRU plan cache with exact replay and
-  near-miss warm starts.
+* :mod:`repro.core.plancache` — LRU plan cache: a repeated signature
+  replays its cached plan, any other is searched from scratch.
 * :mod:`repro.core.planner` — the asynchronous online planner
   (section 3.2).
 """

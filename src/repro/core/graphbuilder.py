@@ -40,12 +40,7 @@ from repro.data.batching import (
 from repro.models.flops import boundary_p2p_bytes, training_state_bytes
 from repro.models.lmm import LMMArchitecture
 from repro.core.partitioner import ModalityPartitioner, PartitionPlan
-from repro.core.signature import (
-    BlockMemo,
-    BlockRecord,
-    block_costs,
-    shape_key,
-)
+from repro.core.signature import BlockMemo, BlockRecord, shape_key
 from repro.core.stages import (
     Direction,
     IterationGraph,
@@ -79,10 +74,8 @@ class GraphFragment:
             rank, num_layers, cost, instances, seq, context, default
             candidate)``.
         flops: The microbatch's train-step FLOPs.
-        digest / num_groups: The block's signature facts (see
+        digest: The block's signature digest (see
             :class:`~repro.core.signature.BlockMemo`).
-        costs: The block's signature-feature inputs
-            (:func:`~repro.core.signature.block_costs`).
 
     Everything here is shared by every graph assembled from the fragment
     (the :class:`StageCost` and :class:`StrategyCandidate` objects
@@ -95,8 +88,6 @@ class GraphFragment:
     pairs: Tuple[Tuple, ...]
     flops: float
     digest: str
-    num_groups: int
-    costs: Tuple
 
 
 class _Builder:
@@ -333,9 +324,9 @@ class _Builder:
         return boundary_p2p_bytes(target.spec, 1, min(seq, 1 << 16))
 
     def block_fragment(self, uid_start: int, pair_start: int,
-                       flops: float, facts: Tuple[str, int]) -> GraphFragment:
+                       flops: float, digest: str) -> GraphFragment:
         """Record the block emitted from ``uid_start`` / ``pair_start``,
-        whose signature facts are ``facts``."""
+        whose signature digest is ``digest``."""
         slots: Dict[Tuple, int] = {}
         stages = []
         for stage in self.stages[uid_start:]:
@@ -358,9 +349,7 @@ class _Builder:
         )
         return GraphFragment(
             keys=tuple(slots), stages=tuple(stages), pairs=pairs,
-            flops=flops, digest=facts[0], num_groups=facts[1],
-            costs=block_costs(self.stages[uid_start:], self.pairs,
-                              pair_start, len(self.pairs)))
+            flops=flops, digest=digest)
 
     def assemble(self, fragment: GraphFragment, index: int,
                  memo: BlockMemo) -> None:
@@ -436,7 +425,7 @@ def build_iteration_graph(
         memo: Per-shape memo of one architecture, plan and build
             configuration (see :class:`~repro.core.signature.BlockMemo`):
             a shape with a stored fragment is assembled from it, and a
-            shape whose block facts are stored but whose fragment is not
+            shape whose block digest is stored but whose fragment is not
             has its freshly emitted block recorded.  The graph is equal,
             field for field, to one built without it.
         context: The planning-context digest ``memo`` is keyed under.
@@ -464,10 +453,10 @@ def build_iteration_graph(
             splits = partitioner.split_microbatch(plan, microbatch)
             builder.emit_microbatch(microbatch, splits)
             flops.append(microbatch_total_flops(arch, microbatch))
-            facts = memo.get(key) if key is not None else None
-            if facts is not None:
+            digest = memo.get(key) if key is not None else None
+            if digest is not None:
                 memo.put_fragment(key, builder.block_fragment(
-                    uid_start, pair_start, flops[-1], facts))
+                    uid_start, pair_start, flops[-1], digest))
         if blocks is not None:
             blocks.append(BlockRecord(
                 microbatch.index, uid_start, len(builder.stages),

@@ -149,44 +149,6 @@ def natural_ordering(groups: Sequence[GroupKey]) -> List[GroupKey]:
     )
 
 
-def align_seed_ordering(
-    seed: Optional[Sequence[GroupKey]], groups: Sequence[GroupKey]
-) -> Optional[List[GroupKey]]:
-    """Fit a (possibly foreign) seed ordering onto ``groups``.
-
-    Keeps the seed's relative order for groups that exist here, drops
-    stale ones, and appends uncovered groups in natural order — so a
-    warm start from a *similar* cached graph always yields a valid
-    permutation.  Returns ``None`` when there is nothing to keep.
-    """
-    if seed is None:
-        return None
-    present = set(groups)
-    aligned: List[GroupKey] = []
-    taken = set()
-    for key in seed:
-        if key in present and key not in taken:
-            aligned.append(key)
-            taken.add(key)
-    if not aligned:
-        return None
-    aligned.extend(g for g in natural_ordering(groups) if g not in taken)
-    return aligned
-
-
-def _validate_seed(
-    seed: Sequence[GroupKey], items: Sequence[GroupKey]
-) -> List[GroupKey]:
-    seed_list = list(seed)
-    if len(seed_list) != len(items) or set(seed_list) != set(items):
-        raise ValueError(
-            "seed_ordering must be a permutation of the searched groups "
-            f"(got {len(seed_list)} keys for {len(items)} groups); align it "
-            "with align_seed_ordering() first"
-        )
-    return seed_list
-
-
 def mcts_reorder(
     groups: Sequence[GroupKey],
     evaluator: Evaluator,
@@ -197,7 +159,6 @@ def mcts_reorder(
     beta: float = 0.35,
     seed: int = 0,
     invert: bool = False,
-    seed_ordering: Optional[Sequence[GroupKey]] = None,
     patience: Optional[int] = None,
 ) -> ReorderResult:
     """Search group orderings with MCTS (the DIP default).
@@ -214,12 +175,6 @@ def mcts_reorder(
         seed: RNG seed.
         invert: Maximise iteration time instead (the Fig. 9 worst-case
             schedule derivation).
-        seed_ordering: Optional warm-start permutation of ``groups``
-            (e.g. the winning ordering of a similar cached graph).  It is
-            evaluated first — seeding the incumbent — and its path is
-            expanded into the tree with its score backpropagated, so
-            selection starts biased toward the prior best instead of
-            uniform.
         patience: Optional stopping rule: end the search once this many
             consecutive evaluations found no new best (deterministic,
             like the evaluation cap).  The first evaluation always sets
@@ -236,27 +191,6 @@ def mcts_reorder(
     root = _Node(items)
     # Score normalisation bounds, updated as results arrive.
     seen_scores: List[float] = []
-
-    if seed_ordering is not None:
-        seed_list = _validate_seed(seed_ordering, items)
-        score = state.evaluate(seed_list)
-        seen_scores.append(score)
-        # Expand the tree along the seed path and credit every node on
-        # it, so UCB selection is primed with the prior best.
-        node = root
-        remaining = list(items)
-        node.visits += 1
-        node.best_score = max(node.best_score, score)
-        for key in seed_list:
-            if key in node.untried:
-                node.untried.remove(key)
-                node.children[key] = _Node(
-                    [g for g in remaining if g != key]
-                )
-            node = node.children[key]
-            remaining.remove(key)
-            node.visits += 1
-            node.best_score = max(node.best_score, score)
 
     def normalised(score: float) -> float:
         if not seen_scores:
@@ -323,21 +257,16 @@ def random_reorder(
     time_budget_s: Optional[float] = None,
     seed: int = 0,
     invert: bool = False,
-    seed_ordering: Optional[Sequence[GroupKey]] = None,
     patience: Optional[int] = None,
 ) -> ReorderResult:
     """Uniformly random permutation sampling (Fig. 11 baseline).
 
-    ``seed_ordering`` (a permutation of ``groups``) is evaluated first so
-    a warm start can never do worse than the prior best.  Budgets and
-    ``patience`` stop the search as in :func:`mcts_reorder`.
+    Budgets and ``patience`` stop the search as in :func:`mcts_reorder`.
     """
     state = _SearchState(evaluator, -1.0 if invert else 1.0,
                          budget_evaluations, time_budget_s, patience)
     rng = np.random.default_rng(seed)
     items = list(groups)
-    if seed_ordering is not None and budget_evaluations > 0:
-        state.evaluate(_validate_seed(seed_ordering, items))
     while not state.done():
         ordering = list(items)
         rng.shuffle(ordering)
@@ -352,7 +281,6 @@ def dfs_reorder(
     time_budget_s: Optional[float] = None,
     seed: int = 0,
     invert: bool = False,
-    seed_ordering: Optional[Sequence[GroupKey]] = None,
     patience: Optional[int] = None,
 ) -> ReorderResult:
     """Depth-first systematic enumeration (Fig. 11 baseline).
@@ -360,20 +288,14 @@ def dfs_reorder(
     Exhausts the first subtree of an arbitrary (seeded) base order before
     moving on — precisely the unguided behaviour the paper contrasts
     with MCTS.  The base order is shuffled so DFS does not accidentally
-    start from a hand-tuned ordering — unless a warm-start
-    ``seed_ordering`` is given, in which case it becomes the base order:
-    the first leaf DFS evaluates is the seed itself and enumeration
-    explores its neighbourhood first.  Budgets and ``patience`` stop the
+    start from a hand-tuned ordering.  Budgets and ``patience`` stop the
     search as in :func:`mcts_reorder`.
     """
     state = _SearchState(evaluator, -1.0 if invert else 1.0,
                          budget_evaluations, time_budget_s, patience)
     items = list(groups)
-    if seed_ordering is not None:
-        items = _validate_seed(seed_ordering, items)
-    else:
-        rng = np.random.default_rng(seed)
-        rng.shuffle(items)
+    rng = np.random.default_rng(seed)
+    rng.shuffle(items)
 
     def dfs(prefix: List[GroupKey], remaining: List[GroupKey]) -> bool:
         if state.done():

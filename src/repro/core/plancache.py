@@ -1,22 +1,19 @@
-"""LRU plan cache with a near-miss warm-start tier.
+"""LRU plan cache keyed on canonical graph signatures.
 
 Sits between the online planner and the schedule searcher:
 
-* **Exact hit** — the incoming graph's canonical signature matches a
-  cached entry: the cached schedule (per-rank order, memory-strategy
+* **Hit** — the incoming graph's canonical signature matches a cached
+  entry: the cached schedule (per-rank order, memory-strategy
   selections, group ordering) is *replayed* onto the new graph through
   the signature's uid/pair translation tables.  Replay costs one
   pipeline simulation instead of a full MCTS + memopt-ILP search.
-* **Near miss** — no exact match, but a cached signature with the same
-  planning context lies within ``near_miss_max_distance`` of the new
-  graph's feature vector: its winning group ordering is remapped onto
-  the new graph and used to *warm-start* the search
-  (:meth:`repro.core.searcher.ScheduleSearcher.search` with
-  ``seed_ordering``), so the tree is primed with the prior best instead
-  of starting uniform.
-* **Miss** — cold search; the result is stored for future iterations.
+* **Miss** — search; the result is stored for future iterations.
 
-All telemetry (hits, near hits, misses, evictions) is counted live into
+A search never reads the cache, so every searched plan is a pure
+function of its signature: a miss searches to the same plan with the
+cache on or off, whatever the cache held before.
+
+All telemetry (hits, misses, evictions) is counted live into
 the cache's :class:`~repro.obs.registry.MetricsRegistry`
 (``cache.metrics``); :func:`cache_view` reads it back as a
 :class:`CacheStats`.  The cache is thread-safe so the planner's
@@ -34,20 +31,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.signature import (
-    SIGNATURE_VERSION,
-    BlockInfo,
-    GraphSignature,
-    feature_distance,
-)
+from repro.core.signature import SIGNATURE_VERSION, BlockInfo, GraphSignature
 from repro.core.stages import GroupKey, IterationGraph
 from repro.obs.registry import MetricsRegistry, sample_value
 
 #: Default number of cached plans the planner keeps.
 DEFAULT_CACHE_SIZE = 64
-
-#: Default feature-distance ceiling for the near-miss tier.
-DEFAULT_NEAR_MISS_DISTANCE = 0.25
 
 #: Bumped whenever the persisted cache-file schema changes shape.
 CACHE_FILE_VERSION = 1
@@ -64,7 +53,7 @@ CanonicalGroup = Tuple[int, str, str]
 #: Exact hits by serving tier; the tiers sum to
 #: ``LOOKUPS_METRIC{result="hit"}`` (the scrape checker asserts it).
 HITS_METRIC = "repro_cache_hits_total"
-#: Lookups by result: ``hit``, ``near`` or ``miss``.
+#: Lookups by result: ``hit`` or ``miss``.
 LOOKUPS_METRIC = "repro_cache_lookups_total"
 EVICTIONS_METRIC = "repro_cache_evictions_total"
 STORES_METRIC = "repro_cache_stores_total"
@@ -142,7 +131,6 @@ class CacheStats:
     """
 
     hits: int = 0
-    near_hits: int = 0
     misses: int = 0
     evictions: int = 0
     stores: int = 0
@@ -152,27 +140,19 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.near_hits + self.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of lookups answered without a cold search."""
+        """Fraction of lookups answered without a search."""
         if self.lookups == 0:
             return 0.0
         return self.hits / self.lookups
 
-    @property
-    def warm_rate(self) -> float:
-        """Fraction of lookups answered with at least a warm start."""
-        if self.lookups == 0:
-            return 0.0
-        return (self.hits + self.near_hits) / self.lookups
-
     def describe(self) -> str:
         text = (
-            f"{self.hits} hits, {self.near_hits} near, {self.misses} misses "
-            f"({self.hit_rate * 100:.0f}% exact, {self.warm_rate * 100:.0f}% "
-            f"warm), {self.evictions} evictions"
+            f"{self.hits} hits, {self.misses} misses "
+            f"({self.hit_rate * 100:.0f}% hit), {self.evictions} evictions"
         )
         if self.disk_hits:
             text += f", {self.disk_hits} from disk"
@@ -194,7 +174,6 @@ def cache_view(snapshot: Dict) -> CacheStats:
 
     return CacheStats(
         hits=value(LOOKUPS_METRIC, result="hit"),
-        near_hits=value(LOOKUPS_METRIC, result="near"),
         misses=value(LOOKUPS_METRIC, result="miss"),
         evictions=value(EVICTIONS_METRIC),
         stores=value(STORES_METRIC),
@@ -208,13 +187,12 @@ def cache_view(snapshot: Dict) -> CacheStats:
 class CacheLookup:
     """Outcome of one :meth:`PlanCache.lookup`.
 
-    ``tier`` labels which tier answered an exact hit — ``"memory"`` or
-    ``"disk"`` — and is ``None`` for near misses and misses.
+    ``tier`` labels which tier answered a hit — ``"memory"`` or
+    ``"disk"`` — and is ``None`` for misses.
     """
 
-    kind: str  # "hit" | "near" | "miss"
+    kind: str  # "hit" | "miss"
     entry: Optional[CachedPlan] = None
-    distance: float = float("inf")
     tier: Optional[str] = None
     #: Wall-clock seconds the lookup took (includes any disk-tier read
     #: and promotion) — the request tracer's cache-lookup span duration.
@@ -222,37 +200,28 @@ class CacheLookup:
 
 
 class PlanCache:
-    """LRU signature → :class:`CachedPlan` store with near-miss retrieval.
+    """LRU signature → :class:`CachedPlan` store.
 
     Optionally two-tiered: the in-memory LRU is the hot set, backed by a
     shared on-disk tier (:class:`repro.core.cachetier.DiskCacheTier`, or
     anything with the same ``get``/``put``/``invalidate_contexts``
     surface).  A memory miss consults disk before reporting a miss; a
     disk hit is promoted into memory; a fresh store writes through to
-    both tiers.  Near-miss retrieval stays memory-only — warm-start
-    seeds come from the hot set, a full directory scan per miss would
-    put disk latency on the search path for a heuristic.
+    both tiers.
 
     Args:
         capacity: Maximum number of cached plans (LRU eviction beyond).
-        near_miss: Enable the warm-start tier.
-        near_miss_max_distance: Feature-distance ceiling for a cached
-            entry to count as a near miss.
         disk_tier: Optional shared on-disk tier behind the memory LRU.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_CACHE_SIZE,
-        near_miss: bool = True,
-        near_miss_max_distance: float = DEFAULT_NEAR_MISS_DISTANCE,
         disk_tier=None,
     ) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.near_miss = near_miss
-        self.near_miss_max_distance = near_miss_max_distance
         self.disk_tier = disk_tier
         #: The one store of the cache's telemetry, counted live under
         #: the cache lock; read it through :attr:`stats`.
@@ -275,7 +244,7 @@ class PlanCache:
         # Every series exists from the start, at zero.
         for tier in ("memory", "disk"):
             self._m_hits.inc(0, tier=tier)
-        for result in ("hit", "near", "miss"):
+        for result in ("hit", "miss"):
             self._m_lookups.inc(0, result=result)
         for counter in (self._m_evictions, self._m_stores,
                         self._m_invalidations):
@@ -301,19 +270,20 @@ class PlanCache:
         return cache_view(self.metrics_snapshot())
 
     def lookup(self, signature: GraphSignature,
-               allow_near: bool = True, disk: bool = True) -> CacheLookup:
-        """Find the cached plan for ``signature`` (exact, then nearest).
+               disk: bool = True) -> CacheLookup:
+        """Find the cached plan for ``signature``, memory then disk.
 
-        ``allow_near=False`` restricts the lookup to exact hits — the
-        planner passes it when the searcher cannot consume a seed
-        ordering (natural strategy, single-group graph), so near-hit
-        telemetry only counts retrievals that actually warm a search.
         ``disk=False`` leaves the disk tier out: the caller's
         :meth:`probe` of this digest has just read it and missed, so a
         cold request reads it once.
         """
         start = time.perf_counter()
-        result = self._lookup(signature, allow_near, disk)
+        with self._lock:
+            result = self._exact_hit(signature.digest,
+                                     signature.context_digest, disk)
+            if result is None:
+                self._m_lookups.inc(result="miss")
+                result = CacheLookup(kind="miss")
         result.elapsed_s = time.perf_counter() - start
         return result
 
@@ -324,8 +294,8 @@ class PlanCache:
         The planning service's digest-first path: a remote client sends
         the digest it already computed for ring routing, and a hit here
         is answered without building the batch's graph.  Memory, then
-        disk, with the promotion and hit accounting of :meth:`lookup`'s
-        exact branch.  An entry stored under another planning context
+        disk, with the promotion and hit accounting of :meth:`lookup`.
+        An entry stored under another planning context
         (``context_digest`` mismatch — a recalibration retired it) is
         treated as absent.  Returns ``None`` on a miss and counts
         nothing: the caller falls back to :meth:`lookup`, which counts
@@ -349,8 +319,7 @@ class PlanCache:
                 return None
             self._entries.move_to_end(digest)
             self._count_hit("memory")
-            return CacheLookup(kind="hit", entry=entry, distance=0.0,
-                               tier="memory")
+            return CacheLookup(kind="hit", entry=entry, tier="memory")
         if self.disk_tier is None or not disk:
             return None
         entry = self.disk_tier.get(digest)
@@ -362,8 +331,7 @@ class PlanCache:
         self._entries[digest] = entry
         self._evict_overflow()
         self._count_hit("disk")
-        return CacheLookup(kind="hit", entry=entry, distance=0.0,
-                           tier="disk")
+        return CacheLookup(kind="hit", entry=entry, tier="disk")
 
     def _count_hit(self, tier: str) -> None:
         self._m_hits.inc(tier=tier)
@@ -374,37 +342,6 @@ class PlanCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self._m_evictions.inc()
-
-    def _lookup(self, signature: GraphSignature, allow_near: bool,
-                disk: bool) -> CacheLookup:
-        with self._lock:
-            hit = self._exact_hit(signature.digest,
-                                  signature.context_digest, disk)
-            if hit is not None:
-                return hit
-            if self.near_miss and allow_near:
-                best: Optional[CachedPlan] = None
-                best_distance = float("inf")
-                for candidate in self._entries.values():
-                    sig = candidate.signature
-                    if sig.context_digest != signature.context_digest:
-                        continue
-                    if sig.num_ranks != signature.num_ranks:
-                        continue
-                    if not candidate.ordering:
-                        continue  # no transferable ordering to warm with
-                    distance = feature_distance(sig.features,
-                                                signature.features)
-                    if distance < best_distance:
-                        best_distance = distance
-                        best = candidate
-                if best is not None and best_distance <= self.near_miss_max_distance:
-                    self._entries.move_to_end(best.signature.digest)
-                    self._m_lookups.inc(result="near")
-                    return CacheLookup(kind="near", entry=best,
-                                       distance=best_distance)
-            self._m_lookups.inc(result="miss")
-            return CacheLookup(kind="miss")
 
     def store(self, plan: CachedPlan) -> None:
         """Insert (or refresh) a plan, evicting the LRU entry if full.
@@ -470,8 +407,6 @@ class PlanCache:
                 "version": CACHE_FILE_VERSION,
                 "signature_version": SIGNATURE_VERSION,
                 "capacity": self.capacity,
-                "near_miss": self.near_miss,
-                "near_miss_max_distance": self.near_miss_max_distance,
                 "entries": [plan_to_dict(p) for p in self._entries.values()],
             }
 
@@ -487,14 +422,15 @@ class PlanCache:
 
     @classmethod
     def from_payload(cls, payload: Dict, capacity: Optional[int] = None,
-                     **kwargs) -> "PlanCache":
+                     disk_tier=None) -> "PlanCache":
         """Rebuild a cache from :meth:`to_payload` output.
 
         Entries persisted under a different file-schema or signature
         version are dropped (they could never match a lookup anyway);
-        ``capacity`` and the near-miss knobs default to the persisted
-        values but can be overridden.  Telemetry starts fresh — stats
-        describe the current run, not the file's history.
+        ``capacity`` defaults to the persisted value but can be
+        overridden.  Keys this version does not read (older files'
+        warm-start settings) are ignored.  Telemetry starts fresh —
+        stats describe the current run, not the file's history.
         """
         stale = (
             payload.get("format") != CACHE_FILE_FORMAT
@@ -504,13 +440,7 @@ class PlanCache:
         cache = cls(
             capacity=capacity or int(payload.get("capacity",
                                                  DEFAULT_CACHE_SIZE)),
-            near_miss=kwargs.get("near_miss",
-                                 payload.get("near_miss", True)),
-            near_miss_max_distance=kwargs.get(
-                "near_miss_max_distance",
-                payload.get("near_miss_max_distance",
-                            DEFAULT_NEAR_MISS_DISTANCE)),
-            disk_tier=kwargs.get("disk_tier"),
+            disk_tier=disk_tier,
         )
         if stale:
             return cache
@@ -529,7 +459,7 @@ class PlanCache:
 
     @classmethod
     def load(cls, path: str, capacity: Optional[int] = None,
-             **kwargs) -> "PlanCache":
+             disk_tier=None) -> "PlanCache":
         """Load a persisted cache; unreadable files yield an empty cache.
 
         A training restart must never fail on a corrupt or stale cache
@@ -540,10 +470,12 @@ class PlanCache:
                 payload = json.load(f)
             if not isinstance(payload, dict):
                 raise ValueError("cache file is not a JSON object")
-            return cls.from_payload(payload, capacity=capacity, **kwargs)
+            return cls.from_payload(payload, capacity=capacity,
+                                    disk_tier=disk_tier)
         except (OSError, json.JSONDecodeError, ValueError, KeyError,
                 TypeError):
-            return cls(capacity=capacity or DEFAULT_CACHE_SIZE, **kwargs)
+            return cls(capacity=capacity or DEFAULT_CACHE_SIZE,
+                       disk_tier=disk_tier)
 
 
 def signature_to_dict(signature: GraphSignature) -> Dict:
@@ -553,7 +485,6 @@ def signature_to_dict(signature: GraphSignature) -> Dict:
     return {
         "digest": signature.digest,
         "context_digest": signature.context_digest,
-        "features": list(signature.features),
         "num_ranks": signature.num_ranks,
         "blocks": [
             [b.microbatch, b.uid_start, b.uid_stop, b.pair_start,
@@ -564,11 +495,12 @@ def signature_to_dict(signature: GraphSignature) -> Dict:
 
 
 def signature_from_dict(payload: Dict) -> GraphSignature:
-    """Inverse of :func:`signature_to_dict`."""
+    """Inverse of :func:`signature_to_dict`.  Keys it does not read
+    (the feature vector older cache files and disk-tier entries carry)
+    are ignored."""
     return GraphSignature(
         digest=payload["digest"],
         context_digest=payload["context_digest"],
-        features=tuple(payload["features"]),
         blocks=[BlockInfo(*entry) for entry in payload["blocks"]],
         num_ranks=payload["num_ranks"],
     )
@@ -659,14 +591,5 @@ def decode_selection(plan: CachedPlan, signature: GraphSignature,
 
 def decode_ordering(plan: CachedPlan,
                     signature: GraphSignature) -> List[GroupKey]:
-    """Map a cached group ordering onto a (possibly merely similar) graph.
-
-    Canonical microbatch slots beyond the new graph's block count are
-    dropped; the searcher appends any groups the seed does not cover.
-    """
-    out: List[GroupKey] = []
-    for canonical in plan.ordering:
-        if canonical[0] >= len(signature.blocks):
-            continue
-        out.append(signature.actual_group(canonical))
-    return out
+    """Map a cached group ordering onto a signature-equal graph."""
+    return [signature.actual_group(canonical) for canonical in plan.ordering]

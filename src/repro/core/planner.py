@@ -16,8 +16,8 @@ Planning is *incremental*: every built iteration graph is fingerprinted
 (:mod:`repro.core.signature`) and looked up in an LRU plan cache
 (:mod:`repro.core.plancache`) before searching.  Repeated batch shapes —
 common in real dynamic workloads — replay their cached schedule in one
-simulation; similar shapes warm-start the search from the closest cached
-ordering.
+simulation; every other batch is searched from scratch, so a searched
+plan never depends on what the cache held.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.core.plancache import (
     DEFAULT_CACHE_SIZE,
     CacheStats,
     PlanCache,
-    decode_ordering,
     encode_plan,
 )
 from repro.core.searcher import ScheduleSearcher, SearchResult
@@ -88,8 +87,6 @@ class PreparedIteration:
         graph: The batch's freshly built iteration graph.
         signature: Canonical graph signature; ``None`` when the plan
             cache is disabled.
-        allow_near: Whether a near-miss lookup could warm this search
-            (the searcher consumes seeds and the graph has >1 group).
         disk_probed: The cache's disk tier was already probed for this
             signature's digest and missed (the planning service's
             digest-first path), so :meth:`OnlinePlanner.plan_prepared`'s
@@ -98,7 +95,6 @@ class PreparedIteration:
 
     graph: IterationGraph
     signature: Optional[GraphSignature] = None
-    allow_near: bool = False
     disk_probed: bool = False
 
 
@@ -109,8 +105,6 @@ class PlannerReport:
     Attributes:
         cache_hit: This iteration's plan was replayed from the plan
             cache (no search ran).
-        warm_start: The search was seeded with a near-miss cached
-            ordering.
         signature: Canonical graph-signature digest of the batch (None
             when the plan cache is disabled).
         cache_tier: Tier that served a cache hit ("memory" / "disk");
@@ -132,7 +126,6 @@ class PlannerReport:
     engine: Optional[EngineResult] = None
     average_images: float = 0.0
     cache_hit: bool = False
-    warm_start: bool = False
     signature: Optional[str] = None
     cache_tier: Optional[str] = None
     degraded: bool = False
@@ -155,17 +148,10 @@ class OnlinePlanner:
             (capacity ``cache_size``) when omitted and ``enable_plan_cache``
             is true.
         enable_plan_cache: Consult the incremental plan cache before
-            searching (exact hits replay, near misses warm-start).
+            searching (hits replay, misses search and store).  A
+            searched plan is the same with the cache on or off.
             ``False`` disables caching even when ``plan_cache`` is given.
         cache_size: Capacity of the internally built cache.
-        warm_budget_fraction: Cache-aware budget control — when a near
-            miss closer than ``warm_budget_distance`` seeds the search,
-            the evaluation budget shrinks to this fraction of the
-            searcher's (the plan-cache benchmark shows half the budget
-            matches cold-search quality at distance ~0.03).  ``1.0``
-            disables the shrink.
-        warm_budget_distance: Feature-distance ceiling below which the
-            shrunken budget applies.
     """
 
     def __init__(
@@ -180,11 +166,7 @@ class OnlinePlanner:
         plan_cache: Optional[PlanCache] = None,
         enable_plan_cache: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        warm_budget_fraction: float = 0.5,
-        warm_budget_distance: float = 0.05,
     ) -> None:
-        if not (0.0 < warm_budget_fraction <= 1.0):
-            raise ValueError("warm_budget_fraction must be in (0, 1]")
         self.arch = arch
         self.cluster = cluster
         self.parallel = parallel
@@ -210,10 +192,8 @@ class OnlinePlanner:
             self.cache = plan_cache
         else:
             self.cache = PlanCache(capacity=cache_size)
-        self.warm_budget_fraction = warm_budget_fraction
-        self.warm_budget_distance = warm_budget_distance
-        # Per-shape block digests, group counts and graph fragments for
-        # prepare(); keyed on the context digest, so set_cost_model needs
+        # Per-shape block digests and graph fragments for prepare();
+        # keyed on the context digest, so set_cost_model needs
         # no reset.
         self._block_memo = BlockMemo()
 
@@ -259,10 +239,10 @@ class OnlinePlanner:
         Cheap relative to the search; safe to run in the submitting
         thread, and from several threads at once.  With the plan cache
         enabled, the planner's :class:`~repro.core.signature.BlockMemo`
-        makes a repeated microbatch shape cheap: it is neither re-hashed
-        nor re-grouped (so no group map is built here), and from its
-        third sighting its block is assembled from a stored graph
-        fragment instead of being re-emitted.  The signature is computed
+        makes a repeated microbatch shape cheap: it is not re-hashed
+        (and no group map is built here), and from its third sighting
+        its block is assembled from a stored graph fragment instead of
+        being re-emitted.  The signature is computed
         from the builder's block records, and the context is hashed once
         for both.  The result feeds :meth:`plan_prepared` (directly, or
         through a :class:`~repro.service.PlanService` queue).
@@ -295,22 +275,15 @@ class OnlinePlanner:
             blocks=blocks,
             context=context,
         )
-        # Near misses only help when the search can consume a seed; keep
-        # the warm-rate telemetry honest for natural / single-group runs.
-        allow_near = (
-            self.searcher.supports_warm_start and signature.num_groups > 1
-        )
-        return PreparedIteration(graph=graph, signature=signature,
-                                 allow_near=allow_near)
+        return PreparedIteration(graph=graph, signature=signature)
 
     def plan_iteration(self, batch: GlobalBatch) -> SearchResult:
         """Stages 1-3: prefetch metadata, partition, search.
 
         With the plan cache enabled, the batch's canonical signature is
-        consulted first: an exact hit replays the cached schedule (one
-        simulation, no search), a near miss warm-starts the search from
-        the closest cached ordering, and a miss falls back to the cold
-        search — whose result is cached for future iterations.
+        consulted first: a hit replays the cached schedule (one
+        simulation, no search), and a miss runs the search — whose
+        result is cached for future iterations.
         """
         return self.plan_prepared(self.prepare(batch))
 
@@ -321,28 +294,13 @@ class OnlinePlanner:
             return self.searcher.search(graph)
 
         signature = prepared.signature
-        lookup = self.cache.lookup(signature,
-                                   allow_near=prepared.allow_near,
-                                   disk=not prepared.disk_probed)
+        lookup = self.cache.lookup(signature, disk=not prepared.disk_probed)
         if lookup.kind == "hit":
             result = self.searcher.replay(graph, lookup.entry, signature)
             result.cache_tier = lookup.tier
             result.lookup_s = lookup.elapsed_s
             return result
-        seed = (
-            decode_ordering(lookup.entry, signature)
-            if lookup.kind == "near"
-            else None
-        )
-        # Cache-aware budget control: a close near miss starts the search
-        # at the prior best, so far fewer evaluations reach cold quality.
-        budget = None
-        if (seed and self.warm_budget_fraction < 1.0
-                and lookup.distance <= self.warm_budget_distance):
-            budget = max(1, int(round(self.searcher.budget_evaluations
-                                      * self.warm_budget_fraction)))
-        result = self.searcher.search(graph, seed_ordering=seed or None,
-                                      budget_evaluations=budget)
+        result = self.searcher.search(graph)
         result.signature = signature.digest
         result.lookup_s = lookup.elapsed_s
         self.cache.store(encode_plan(result, signature, graph))
@@ -419,7 +377,6 @@ class OnlinePlanner:
             engine=engine,
             average_images=batch.average_images,
             cache_hit=result.cache_hit,
-            warm_start=result.warm_started,
             signature=result.signature,
             cache_tier=result.cache_tier,
         )

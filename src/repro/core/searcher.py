@@ -16,13 +16,12 @@ deterministic, used by tests) and/or wall-clock seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.cluster.topology import ClusterSpec, ParallelConfig
 from repro.core.evalcore import EvalCore
 from repro.core.mcts import (
     ReorderResult,
-    align_seed_ordering,
     dfs_reorder,
     mcts_reorder,
     natural_ordering,
@@ -64,14 +63,11 @@ class SearchResult:
 
     Attributes:
         ordering: The winning segment-group ordering (the natural order
-            when no reordering search ran) — what the plan cache stores
-            and warm starts are seeded from.
+            when no reordering search ran) — what the plan cache stores.
         evaluations: Ordering evaluations actually performed; 0 on the
             natural / single-group path and on cache replays, where no
             ordering evaluation runs.
         cache_hit: The result was replayed from the plan cache.
-        warm_started: The search was seeded with a cached near-miss
-            ordering.
         signature: Canonical graph-signature digest, when the planner
             computed one.
         memo_hits: Always 0: no search answers a rollout without running
@@ -92,7 +88,6 @@ class SearchResult:
     evaluations: int = 0
     ordering: List[GroupKey] = field(default_factory=list)
     cache_hit: bool = False
-    warm_started: bool = False
     signature: Optional[str] = None
     memo_hits: int = 0
     cache_tier: Optional[str] = None
@@ -194,11 +189,6 @@ class ScheduleSearcher:
 
     # -- search --------------------------------------------------------------
 
-    @property
-    def supports_warm_start(self) -> bool:
-        """Whether this searcher can consume a ``seed_ordering`` at all."""
-        return self.strategy != "natural"
-
     def fingerprint(self) -> tuple:
         """Configuration tuple folded into graph signatures.
 
@@ -235,35 +225,17 @@ class ScheduleSearcher:
             # memory-feasible.
             apply_uniform_memory_policy(graph)
 
-    def search(
-        self,
-        graph: IterationGraph,
-        seed_ordering: Optional[Sequence[GroupKey]] = None,
-        budget_evaluations: Optional[int] = None,
-    ) -> SearchResult:
+    def search(self, graph: IterationGraph) -> SearchResult:
         """Run the full three-phase search on one iteration graph.
 
-        Args:
-            graph: The iteration graph to schedule.
-            seed_ordering: Optional warm-start group ordering (typically a
-                plan-cache near miss).  It is aligned onto this graph's
-                groups — stale keys dropped, missing ones appended — and
-                primes the reordering search so it starts from the prior
-                best instead of uniform.
-            budget_evaluations: Per-call override of the configured
-                evaluation budget — the planner's cache-aware budget
-                control passes a shrunken budget when a close near miss
-                seeds the search.
+        Without a wall-clock budget the result is a pure function of
+        the graph and the searcher's configuration.
         """
-        budget = (self.budget_evaluations if budget_evaluations is None
-                  else budget_evaluations)
         self._prepare_memory(graph)
         core = self._make_core(graph)
 
         groups = list(graph.groups().keys())
-        seed_aligned = align_seed_ordering(seed_ordering, groups)
         reorder: Optional[ReorderResult] = None
-        warm_started = False
         if self.strategy == "natural" or len(groups) <= 1:
             ordering = natural_ordering(groups)
         else:
@@ -274,15 +246,13 @@ class ScheduleSearcher:
             reorder = reorder_fn(
                 groups,
                 core.evaluate,
-                budget_evaluations=budget,
+                budget_evaluations=self.budget_evaluations,
                 time_budget_s=self.time_budget_s,
                 seed=self.seed,
                 invert=self.invert,
-                seed_ordering=seed_aligned,
                 patience=ORDERING_PATIENCE,
             )
             ordering = reorder.ordering
-            warm_started = seed_aligned is not None
 
         interleaved = core.interleave(ordering)
         graph.apply_group_priorities(
@@ -320,7 +290,6 @@ class ScheduleSearcher:
             # path, so the count is honestly zero there.
             evaluations=reorder.evaluations if reorder else 0,
             ordering=list(ordering),
-            warm_started=warm_started,
         )
 
     # -- cache replay --------------------------------------------------------
@@ -357,8 +326,7 @@ class ScheduleSearcher:
         """
         if cached.signature.digest != signature.digest:
             raise ValueError(
-                "cannot replay a plan across different signatures; use a "
-                "warm-started search for near misses"
+                "cannot replay a plan across different signatures"
             )
         if self.memopt_mode in ("full", "lean"):
             # decode_selection below sets every pair's strategy, so the

@@ -21,26 +21,20 @@ therefore:
    rewritten relative to the block (shape, ranks, latencies, memory
    residency and dependency structure all contribute; the memory-
    optimization candidate space is a pure function of the hashed stage
-   costs and layer counts, so it is fingerprinted implicitly) and counts
-   its segment groups — its distinct (module, direction) pairs.  Both
-   facts are pure functions of (context digest, microbatch metadata),
-   so a :class:`BlockMemo` keyed on that pair (through the records)
-   lets a repeated microbatch shape skip the hashing, and lets the
-   signature's group count skip :meth:`IterationGraph.groups`; a block
-   assembled from a graph fragment carries both facts and its feature
-   inputs, so it is not scanned at all,
+   costs and layer counts, so it is fingerprinted implicitly).  The
+   block digest is a pure function of (context digest, microbatch
+   metadata), so a :class:`BlockMemo` keyed on that pair (through the
+   records) lets a repeated microbatch shape skip the hashing; a block
+   assembled from a graph fragment carries its digest, so it is not
+   scanned at all,
 3. sorts the blocks by their digest — the canonical block order — and
    hashes the sorted sequence together with the graph-level constants
    and a *context* digest covering the :class:`ClusterSpec`,
    :class:`ParallelConfig`, :class:`CostModel` and searcher
    configuration.
 
-The signature also carries a small feature vector (microbatch count,
-stage count, aggregate latencies, activation footprint) used by the plan
-cache's near-miss tier to find the *closest* cached graph when no exact
-match exists, plus the uid / pair-id / microbatch mappings needed to
-translate a cached schedule between equivalent (or merely similar)
-graphs.
+The signature also carries the uid / pair-id / microbatch mappings
+needed to translate a cached schedule between signature-equal graphs.
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ import dataclasses
 import hashlib
 import operator
 import threading
-from array import array
 from dataclasses import dataclass, field
 from typing import (
     Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple,
@@ -64,7 +57,7 @@ from repro.sim.costmodel import CostModel
 #: cache entries from older code can never alias new signatures.
 SIGNATURE_VERSION = 1
 
-#: Block facts, and interned segment keys, a :class:`BlockMemo` holds
+#: Block digests, and interned segment keys, a :class:`BlockMemo` holds
 #: before it clears them (keys carry the microbatch index: a VLM-M/12
 #: batch interns ~100).
 BLOCK_MEMO_CAPACITY = 1024
@@ -137,14 +130,12 @@ class GraphSignature:
             microbatch permutation (within a fixed planning context).
         context_digest: Digest of cluster/parallel/cost-model/searcher
             configuration alone.
-        features: Scale features for near-miss distance computations.
         blocks: Per-microbatch blocks in *canonical* order.
         num_ranks: Pipeline width of the graph.
     """
 
     digest: str
     context_digest: str
-    features: Tuple[float, ...]
     blocks: List[BlockInfo]
     num_ranks: int
 
@@ -193,11 +184,6 @@ class GraphSignature:
         return len(self._translation()[2])
 
     @property
-    def num_groups(self) -> int:
-        """Segment groups of the graph (the ordering search's unit)."""
-        return int(self.features[2])
-
-    @property
     def canonical_to_uid(self) -> List[int]:
         """Actual stage uid of each canonical uid (read-only)."""
         return self._translation()[1]
@@ -232,7 +218,7 @@ class GraphSignature:
 
         Raises:
             IndexError: if the canonical microbatch slot does not exist in
-                this graph (fewer microbatches than the cached one).
+                this graph.
         """
         block_index, module, direction = canonical
         block = self.blocks[block_index]
@@ -277,21 +263,21 @@ def shape_key(microbatch: Microbatch) -> Tuple:
 
 
 class BlockMemo:
-    """Per-shape block facts, keyed on (context digest, microbatch shape).
+    """Per-shape block digests, keyed on (context digest, microbatch shape).
 
     Two stores share the key:
 
-    * **facts** — (block digest, group count), filled by
+    * **digests** — the block's digest, filled by
       :func:`compute_signature`; at most :data:`BLOCK_MEMO_CAPACITY`
       entries;
     * **fragments** — the block itself, block-relative (a
       :class:`~repro.core.graphbuilder.GraphFragment`), read and filled
       by :func:`~repro.core.graphbuilder.build_iteration_graph`.  A
-      fragment is admitted only for a shape whose facts are already
+      fragment is admitted only for a shape whose digest is already
       stored, i.e. on the shape's second sighting, so a stream of
-      shapes that never repeat stores none; it copies those facts and
-      the block's :func:`block_costs`, so :func:`compute_signature`
-      reads an assembled block from its record alone; at most
+      shapes that never repeat stores none; it copies that digest, so
+      :func:`compute_signature` reads an assembled block from its
+      record alone; at most
       :data:`FRAGMENT_MEMO_CAPACITY` entries.
 
     The memo also interns the :class:`SegmentKey` objects assembled
@@ -311,7 +297,7 @@ class BlockMemo:
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[str, Hashable], Tuple[str, int]] = {}
+        self._entries: Dict[Tuple[str, Hashable], str] = {}
         self._fragments: Dict[Tuple[str, Hashable], object] = {}
         self._keys: Dict[Tuple[int, Tuple], SegmentKey] = {}
         self._lock = threading.Lock()
@@ -323,10 +309,10 @@ class BlockMemo:
     def num_fragments(self) -> int:
         return len(self._fragments)
 
-    def get(self, key: Tuple[str, Hashable]) -> Optional[Tuple[str, int]]:
+    def get(self, key: Tuple[str, Hashable]) -> Optional[str]:
         return self._entries.get(key)
 
-    def put(self, key: Tuple[str, Hashable], value: Tuple[str, int]) -> None:
+    def put(self, key: Tuple[str, Hashable], value: str) -> None:
         self._bounded_put(self._entries, BLOCK_MEMO_CAPACITY, key, value)
 
     def fragment(self, key: Tuple[str, Hashable]):
@@ -445,67 +431,11 @@ def _split_blocks(graph: IterationGraph) -> List[BlockRecord]:
     return [BlockRecord(*span, None, None) for span in spans]
 
 
-def _block_groups(block_stages) -> int:
-    """Distinct (module, direction) pairs of one microbatch's block."""
-    return len({(stage.key.module, stage.key.direction)
-                for stage in block_stages})
-
-
-def block_costs(stages, pairs, pair_start: int, pair_stop: int) -> Tuple:
-    """A block's signature-feature inputs, under the current selections:
-    ``(ranks, latencies, costs)`` — per stage of ``stages`` its rank and
-    latency, per pair of ``pairs[pair_start:pair_stop]`` its
-    :class:`~repro.sim.costmodel.StageCost` (``pairs`` is indexed by pair
-    id).  Compact, since graph fragments keep them."""
-    ranks = []
-    latencies = array("d")
-    for stage in stages:
-        pair = pairs[stage.pair_id]
-        latency = (pair.forward_ms() if stage.is_forward
-                   else pair.backward_ms())
-        ranks.append(stage.rank)
-        latencies.append(latency * stage.latency_share)
-    costs = tuple(pair.cost for pair in pairs[pair_start:pair_stop])
-    return tuple(ranks), latencies, costs
-
-
-def _features(num_ranks: int, costs: Sequence[Tuple], num_blocks: int,
-              num_stages: int, num_groups: int) -> Tuple[float, ...]:
-    """Scale features driving the near-miss distance metric.
-
-    ``costs`` are the graph's blocks' :func:`block_costs` in uid order,
-    so every sum adds the same terms in the same order as one scan of
-    the graph's pairs and stages would.
-    """
-    busy = [0.0] * num_ranks
-    total_fw = 0.0
-    total_bw = 0.0
-    total_act = 0.0
-    for ranks, latencies, pair_costs in costs:
-        for rank, latency in zip(ranks, latencies):
-            busy[rank] += latency
-        for cost in pair_costs:
-            total_fw += cost.forward_ms
-            total_bw += cost.backward_ms
-            total_act += cost.act_bytes
-    return (
-        float(num_blocks),
-        float(num_stages),
-        float(num_groups),
-        total_fw,
-        total_bw,
-        total_act / 2**30,  # GiB
-        max(busy) if busy else 0.0,
-    )
-
-
 def _blocks_from_records(graph: IterationGraph,
                          records: Sequence[BlockRecord],
                          memo: Optional[BlockMemo]):
-    """Blocks, group count and feature inputs of ``graph``'s blocks."""
+    """The :class:`BlockInfo` of each of ``graph``'s blocks."""
     blocks = []
-    costs = []
-    num_groups = 0
     for record in records:
         (mb, uid_start, uid_stop, pair_start, pair_stop, key,
          fragment, whole_graph) = record
@@ -514,27 +444,17 @@ def _blocks_from_records(graph: IterationGraph,
         if memo is None or whole_graph:
             key = fragment = None  # the whole graph stays off the memo
         if fragment is not None:
-            digest, groups = fragment.digest, fragment.num_groups
-            costs.append(fragment.costs)
+            digest = fragment.digest
         else:
-            block_stages = graph.stages[uid_start:uid_stop]
-            facts = memo.get(key) if key is not None else None
-            if facts is None:
-                facts = (
-                    _block_digest(graph, block_stages, pair_start,
-                                  uid_start),
-                    len(graph.groups()) if whole_graph
-                    else _block_groups(block_stages),
-                )
+            digest = memo.get(key) if key is not None else None
+            if digest is None:
+                digest = _block_digest(graph, graph.stages[uid_start:uid_stop],
+                                       pair_start, uid_start)
                 if key is not None:
-                    memo.put(key, facts)
-            digest, groups = facts
-            costs.append(block_costs(block_stages, graph.pairs, pair_start,
-                                     pair_stop))
-        num_groups += groups
+                    memo.put(key, digest)
         blocks.append(BlockInfo(mb, uid_start, uid_stop, pair_start,
                                 pair_stop, digest))
-    return blocks, num_groups, costs
+    return blocks
 
 
 def compute_signature(
@@ -556,7 +476,7 @@ def compute_signature(
         cluster / parallel / cost_model: The planning context.
         extra: Additional context (searcher fingerprint) folded into the
             digest.
-        memo: Per-shape block facts to read and fill, through the keys of
+        memo: Per-shape block digests to read and fill, through the keys of
             ``blocks``; the signature is identical with or without it.
         blocks: The :class:`BlockRecord` list ``build_iteration_graph``
             filled while building ``graph`` — valid only for that fresh
@@ -572,14 +492,14 @@ def compute_signature(
     if blocks is None or \
             len({record.microbatch for record in blocks}) != len(blocks):
         blocks = _split_blocks(graph)
-    infos, num_groups, costs = _blocks_from_records(graph, blocks, memo)
+    infos = _blocks_from_records(graph, blocks, memo)
     # Canonical order: by block shape first, digest second, original
     # position as a stable tiebreak (fully tied blocks are identical,
-    # hence interchangeable).  Leading with the shape means *similar*
-    # graphs assign comparable microbatches to comparable canonical
-    # slots, which is what makes near-miss ordering transfer meaningful;
-    # any deterministic content-only key keeps the digest
-    # order-insensitive.
+    # hence interchangeable).  Any deterministic content-only key keeps
+    # the digest order-insensitive; this one is fixed because the digest
+    # hashes the blocks in this order and cached plans index blocks by
+    # their slot in it, so changing it would re-key every persisted plan
+    # (and must bump SIGNATURE_VERSION).
     infos.sort(key=lambda b: (b.num_stages, b.num_pairs, b.digest,
                               b.uid_start))
 
@@ -595,20 +515,7 @@ def compute_signature(
     return GraphSignature(
         digest=h.hexdigest(),
         context_digest=context,
-        features=_features(graph.num_ranks, costs, len(infos),
-                           len(graph.stages), num_groups),
         blocks=infos,
         num_ranks=graph.num_ranks,
     )
 
-
-def feature_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Mean per-dimension relative difference between feature vectors."""
-    if len(a) != len(b):
-        return float("inf")
-    if not a:
-        return 0.0
-    total = 0.0
-    for x, y in zip(a, b):
-        total += abs(x - y) / max(abs(x), abs(y), 1.0)
-    return total / len(a)

@@ -122,12 +122,6 @@ def run_fleet_bench(
                 runtime_dir=runtime_dir, budget=budget, seed=seed,
                 workers=workers, queue=max(64, clients * iterations),
                 cache_size=256,
-                # Warm starts make a search's outcome depend on the
-                # shard's cache contents, which differ with the shard
-                # count; disabling them makes every plan a pure function
-                # of (signature, context, seed) so makespans are
-                # comparable across fleet sizes.
-                near_miss=False,
             )
             with PlanFleet(config) as fleet:
                 barrier = context.Barrier(clients + 1)

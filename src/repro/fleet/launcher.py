@@ -73,11 +73,11 @@ class FleetConfig:
     workers: int = 2
     queue: int = 32
     cache_size: int = 64
-    #: ``False`` disables near-miss warm starts on every shard, making
-    #: each searched plan a pure function of (signature, context, seed)
-    #: — required when plans must be identical across fleet sizes (the
-    #: benchmark's makespan-identity invariant).
-    near_miss: bool = True
+    #: Accepted only as ``False``, the one value the removed near-miss
+    #: warm-start tier left meaningful: servebench still passes it.
+    #: The next change to the benchmark drops that argument, and this
+    #: field with it.
+    near_miss: bool = False
     serve_seconds: Optional[float] = None
     restart_crashed: bool = True
     max_restarts: int = 3
@@ -102,6 +102,10 @@ class FleetConfig:
             raise ValueError("a fleet needs at least one shard")
         if self.transport not in ("uds", "tcp"):
             raise ValueError(f"unknown transport {self.transport!r}")
+        if self.near_miss:
+            raise ValueError("near-miss warm starts were removed; every "
+                             "searched plan is a pure function of its "
+                             "signature")
 
 
 @dataclass
@@ -204,8 +208,6 @@ class PlanFleet:
             command += ["--listen", shard.address]
         if config.cache_dir:
             command += ["--cache-dir", config.cache_dir]
-        if not config.near_miss:
-            command += ["--no-near-miss"]
         if config.serve_seconds is not None:
             command += ["--serve-seconds", str(config.serve_seconds)]
         if config.trace_dir:

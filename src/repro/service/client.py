@@ -435,7 +435,8 @@ def submit_and_replay(client: PlanServiceClient, job: str,
                                  deadline_s=deadline_s,
                                  digest=prepared.signature.digest)
     t1 = time.monotonic()
-    remote_digest = response["signature"]["digest"]
+    signature = response["plan"]["signature"]
+    remote_digest = signature["digest"]
     if remote_digest != prepared.signature.digest:
         raise SignatureMismatchError(
             f"server signature {remote_digest[:12]} != local "
@@ -443,9 +444,7 @@ def submit_and_replay(client: PlanServiceClient, job: str,
             f"plan under different contexts (check model, cluster, "
             f"parallel layout, cost model and searcher flags)"
         )
-    # The reply's signature is the plan's own; decode it once.
-    plan = plan_from_dict(response["plan"],
-                          signature_from_dict(response["signature"]))
+    plan = plan_from_dict(response["plan"], signature_from_dict(signature))
     result = planner.searcher.replay(prepared.graph, plan,
                                      prepared.signature)
     t2 = time.monotonic()

@@ -20,7 +20,7 @@ from repro.core.planner import PreparedIteration
 from repro.core.searcher import SearchResult
 
 #: How a ticket was ultimately served.
-OUTCOME_SEARCH = "search"  # cold or warm-started schedule search
+OUTCOME_SEARCH = "search"  # schedule search
 OUTCOME_HIT = "hit"  # exact plan-cache replay
 OUTCOME_COALESCED = "coalesced"  # fanned out from a concurrent identical request
 OUTCOME_ERROR = "error"

@@ -27,13 +27,14 @@ the stream cannot be trusted past the violation.  Request-level
 failures (unknown job, overloaded queue, failed search) are *error
 responses* on a connection that stays usable.
 
-The ``submit`` result carries ``(signature payload, canonical plan,
-planner report)`` — the codecs are the exact ones the persisted cache
-file uses (:func:`repro.core.plancache.plan_to_dict`), not a second
-schema.  The client re-materializes the plan by replaying the canonical
-payload onto its *own* locally built graph, so plans cross the process
-boundary the same way they cross the coalescing fan-out: one search,
-N identical-makespan schedules.
+The ``submit`` result carries ``(canonical plan, planner report)``;
+the plan payload holds its own signature.  The codecs are the exact
+ones the persisted cache file uses
+(:func:`repro.core.plancache.plan_to_dict`), not a second schema.  The
+client re-materializes the plan by replaying the canonical payload onto
+its *own* locally built graph, so plans cross the process boundary the
+same way they cross the coalescing fan-out: one search, N
+identical-makespan schedules.
 
 ``submit`` params may carry an optional ``digest`` (a string): the
 signature digest the client computed for its own graph.  The server
@@ -70,7 +71,9 @@ import time
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.plancache import encode_plan, plan_to_dict, signature_to_dict
+from repro.core.plancache import encode_plan, plan_to_dict
+# Unused here, but servebench's codec span wraps it on this module.
+from repro.core.plancache import signature_to_dict  # noqa: F401
 from repro.core.signature import SIGNATURE_VERSION
 from repro.data.batching import GlobalBatch, Microbatch
 from repro.obs.registry import merge_snapshots
@@ -330,12 +333,11 @@ def cost_model_from_dict(payload: Dict) -> CostModel:
 
 
 def _submit_reply(plan, ticket, report: Dict) -> Dict:
-    """The ``submit`` result: signature, canonical plan and the report,
-    completed with the ticket's outcome and timings."""
+    """The ``submit`` result: the canonical plan (signature included)
+    and the report, completed with the ticket's outcome and timings."""
     report.update(outcome=ticket.outcome, latency_s=ticket.latency_s,
                   queue_wait_s=ticket.queue_wait_s)
     return {
-        "signature": signature_to_dict(plan.signature),
         "signature_version": SIGNATURE_VERSION,
         "plan": plan_to_dict(plan),
         "report": report,
@@ -956,7 +958,6 @@ class PlanServiceServer:
                 "evaluations": result.evaluations,
                 "cache_hit": result.cache_hit,
                 "cache_tier": result.cache_tier,
-                "warm_started": result.warm_started,
                 "memopt_gap": result.memopt_gap,
                 "label": result.schedule.label,
             })
@@ -977,7 +978,6 @@ class PlanServiceServer:
             "evaluations": 0,
             "cache_hit": True,
             "cache_tier": ticket.hit.tier,
-            "warm_started": False,
             "memopt_gap": None,
             "label": plan.label or f"dip-{strategy}",
         })

@@ -25,7 +25,7 @@ COUNTERS = {
     "failed": "Requests that ended in an error (shed ones included)",
     "shed": "Requests failed because their deadline passed first",
     "coalesced": "Requests served by a concurrent identical request",
-    "searches": "Schedule searches run (cold or warm)",
+    "searches": "Schedule searches run",
     "replays": "Plans served by replay (exact hits + fan-outs)",
     "prewarms": "Background warm-search requests accepted",
     "recalibrations": "Cost-model refits applied",

@@ -8,8 +8,7 @@ reference the differential tests (``test_hitpath_differential.py``,
 
 * :func:`split_signature` — the signature of a graph split by
   :func:`repro.core.signature._split_blocks` (whole-graph fallback
-  included), every block hashed, features from one scan of the graph's
-  pairs and stages;
+  included), every block hashed;
 * :func:`memory_accounting` — per-rank peaks, timelines and over-limit
   ranks from finished end times: per-pair dicts, two stage scans and a
   key-function sort.
@@ -24,7 +23,6 @@ from repro.core.signature import (
     BlockInfo,
     GraphSignature,
     _block_digest,
-    _block_groups,
     _f,
     _split_blocks,
     context_fingerprint,
@@ -37,17 +35,13 @@ def split_signature(graph, cluster, parallel, cost_model,
     scanning ``graph``, without block records or a memo."""
     context = context_fingerprint(cluster, parallel, cost_model, extra)
     blocks = []
-    num_groups = 0
     for (mb, uid_start, uid_stop, pair_start, pair_stop, _key, _fragment,
-         whole_graph) in _split_blocks(graph):
-        block_stages = graph.stages[uid_start:uid_stop]
-        num_groups += (len(graph.groups()) if whole_graph
-                       else _block_groups(block_stages))
+         _whole_graph) in _split_blocks(graph):
         blocks.append(BlockInfo(
             microbatch=mb, uid_start=uid_start, uid_stop=uid_stop,
             pair_start=pair_start, pair_stop=pair_stop,
-            digest=_block_digest(graph, block_stages, pair_start,
-                                 uid_start),
+            digest=_block_digest(graph, graph.stages[uid_start:uid_stop],
+                                 pair_start, uid_start),
         ))
     blocks.sort(key=lambda b: (b.num_stages, b.num_pairs, b.digest,
                                b.uid_start))
@@ -62,32 +56,8 @@ def split_signature(graph, cluster, parallel, cost_model,
     return GraphSignature(
         digest=h.hexdigest(),
         context_digest=context,
-        features=_scan_features(graph, len(blocks), num_groups),
         blocks=blocks,
         num_ranks=graph.num_ranks,
-    )
-
-
-def _scan_features(graph, num_blocks: int,
-                   num_groups: int) -> Tuple[float, ...]:
-    total_fw = 0.0
-    total_bw = 0.0
-    total_act = 0.0
-    for pair in graph.pairs:
-        total_fw += pair.cost.forward_ms
-        total_bw += pair.cost.backward_ms
-        total_act += pair.cost.act_bytes
-    busy = [0.0] * graph.num_ranks
-    for stage in graph.stages:
-        busy[stage.rank] += graph.latency_ms(stage)
-    return (
-        float(num_blocks),
-        float(len(graph.stages)),
-        float(num_groups),
-        total_fw,
-        total_bw,
-        total_act / 2**30,
-        max(busy) if busy else 0.0,
     )
 
 

@@ -373,6 +373,11 @@ class TestLauncher:
             **kwargs,
         )
 
+    def test_config_refuses_the_removed_warm_start_tier(self, tmp_path):
+        assert not self._config(tmp_path, near_miss=False).near_miss
+        with pytest.raises(ValueError, match="near-miss"):
+            self._config(tmp_path, near_miss=True)
+
     def test_start_serve_stop(self, tmp_path):
         config = self._config(tmp_path)
         with PlanFleet(config) as fleet:

@@ -4,7 +4,7 @@ A served hit costs the client one ``prepare`` (graph assembly plus a
 signature read from the builder's block records) and one replay (a
 simulation whose memory timelines come out of the kernel's pass).  Both
 must equal the scans they replaced (``hitpath_oracle``) bit for bit:
-signatures (digest, blocks, features), timelines, peaks and
+signatures (digest, blocks), timelines, peaks and
 ``memory_exceeded``, on the served-plan benchmark's workloads, on
 first, second and assembled ``prepare`` passes, under decoupled
 backward, with zero-residency pairs, an over-limit rank and the jitter
@@ -319,8 +319,7 @@ def _served_reply(planner, batch):
     planner.plan_iteration(batch)
     signature = planner.prepare(batch).signature
     entry = planner.cache.lookup(signature).entry
-    return {"signature": plan_to_dict(entry)["signature"],
-            "plan": plan_to_dict(entry), "report": {}}
+    return {"plan": plan_to_dict(entry), "report": {}}
 
 
 def test_client_decodes_the_reply_signature_once(monkeypatch):
@@ -343,7 +342,7 @@ def test_client_decodes_the_reply_signature_once(monkeypatch):
     assert result.cache_hit
     assert result.total_ms == server.plan_iteration(batch).total_ms
 
-    reply["signature"]["digest"] = "0" * 64
+    reply["plan"]["signature"]["digest"] = "0" * 64
     with pytest.raises(SignatureMismatchError):
         client_module.submit_and_replay(
             _CannedClient(reply), "job", local, local.prepare(batch), batch)

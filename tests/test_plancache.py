@@ -18,7 +18,6 @@ from repro.core.signature import (
     GraphSignature,
     compute_signature,
     context_fingerprint,
-    feature_distance,
 )
 from repro.data.batching import GlobalBatch
 from repro.data.packing import controlled_vlm_microbatch
@@ -52,7 +51,7 @@ class TestGraphSignature:
         a = compute_signature(build(batch), small_cluster, parallel2, cost_model)
         b = compute_signature(build(batch), small_cluster, parallel2, cost_model)
         assert a.digest == b.digest
-        assert a.features == b.features
+        assert a.blocks == b.blocks
 
     def test_relabelled_batch_same_digest(self, build, small_cluster,
                                           parallel2, cost_model):
@@ -116,11 +115,6 @@ class TestGraphSignature:
             assert a.key.direction == b.key.direction
             assert g1.latency_ms(a) == pytest.approx(g2.latency_ms(b))
 
-    def test_feature_distance(self):
-        assert feature_distance((1.0, 2.0), (1.0, 2.0)) == 0.0
-        assert feature_distance((1.0,), (2.0,)) == pytest.approx(0.5)
-        assert feature_distance((1.0,), (1.0, 2.0)) == float("inf")
-
     def test_context_fingerprint_stable(self, small_cluster, parallel2,
                                         cost_model):
         a = context_fingerprint(small_cluster, parallel2, cost_model)
@@ -130,8 +124,6 @@ class TestGraphSignature:
 
 class TestPlanCache:
     def _plan_for(self, digest_suffix, sig):
-        # A token non-empty ordering: entries without one are excluded
-        # from the near-miss tier (nothing to warm-start with).
         return CachedPlan(signature=sig, ordering=[(0, "m", "fw")],
                           order=[[]], selected=[], total_ms=1.0,
                           interleave_ms=1.0, evaluations=5)
@@ -145,13 +137,12 @@ class TestPlanCache:
         cache.store(self._plan_for("a", sig))
         found = cache.lookup(sig)
         assert found.kind == "hit"
-        assert found.distance == 0.0
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_lru_eviction(self, build, small_cluster, parallel2, cost_model):
-        cache = PlanCache(capacity=2, near_miss=False)
+        cache = PlanCache(capacity=2)
         sigs = [
             compute_signature(build(controlled_batch([n])), small_cluster,
                               parallel2, cost_model)
@@ -166,7 +157,7 @@ class TestPlanCache:
 
     def test_lru_recency_on_lookup(self, build, small_cluster, parallel2,
                                    cost_model):
-        cache = PlanCache(capacity=2, near_miss=False)
+        cache = PlanCache(capacity=2)
         sigs = [
             compute_signature(build(controlled_batch([n])), small_cluster,
                               parallel2, cost_model)
@@ -179,32 +170,20 @@ class TestPlanCache:
         assert sigs[0].digest in cache
         assert sigs[1].digest not in cache
 
-    def test_near_miss_retrieval(self, build, small_cluster, parallel2,
-                                 cost_model):
-        cache = PlanCache(capacity=4, near_miss=True,
-                          near_miss_max_distance=0.5)
+    def test_similar_signature_is_a_miss(self, build, small_cluster,
+                                         parallel2, cost_model):
+        """Only an equal signature hits: a batch one image away misses,
+        and the lookup hands back no entry."""
+        cache = PlanCache(capacity=4)
         base = compute_signature(build(controlled_batch([8, 8])),
                                  small_cluster, parallel2, cost_model)
         near = compute_signature(build(controlled_batch([8, 9])),
                                  small_cluster, parallel2, cost_model)
         cache.store(self._plan_for("base", base))
         found = cache.lookup(near)
-        assert found.kind == "near"
-        assert found.entry.signature.digest == base.digest
-        assert found.distance < 0.5
-        assert cache.stats.near_hits == 1
-
-    def test_near_miss_respects_context(self, build, small_cluster,
-                                        parallel2, cost_model):
-        cache = PlanCache(capacity=4, near_miss=True)
-        base = compute_signature(build(controlled_batch([8, 8])),
-                                 small_cluster, parallel2, cost_model,
-                                 extra=("A",))
-        other = compute_signature(build(controlled_batch([8, 9])),
-                                  small_cluster, parallel2, cost_model,
-                                  extra=("B",))
-        cache.store(self._plan_for("base", base))
-        assert cache.lookup(other).kind == "miss"
+        assert found.kind == "miss"
+        assert found.entry is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -274,12 +253,27 @@ class TestPlannerIntegration:
         assert second.schedule.order == first.schedule.order
         assert cached_planner.cache_stats.hits == 1
 
-    def test_near_batch_warm_starts(self, cached_planner):
-        cached_planner.plan_iteration(controlled_batch([8, 8]))
-        result = cached_planner.plan_iteration(controlled_batch([8, 9]))
-        assert not result.cache_hit
-        assert result.warm_started
-        assert cached_planner.cache_stats.near_hits == 1
+    def test_cached_similar_plan_leaves_the_search_unchanged(
+            self, tiny_vlm, small_cluster, parallel2, cost_model):
+        """A searched plan is a pure function of its signature: with a
+        plan for a similar batch already cached, a new signature
+        searches to exactly the plan an uncached planner finds."""
+        def plan(enable_plan_cache):
+            searcher = ScheduleSearcher(small_cluster, parallel2,
+                                        cost_model, budget_evaluations=8,
+                                        seed=0)
+            planner = OnlinePlanner(tiny_vlm, small_cluster, parallel2,
+                                    cost_model, searcher=searcher,
+                                    enable_plan_cache=enable_plan_cache)
+            planner.plan_iteration(controlled_batch([8, 8, 8]))
+            result = planner.plan_iteration(controlled_batch([8, 8, 9]))
+            assert not result.cache_hit
+            graph = result.schedule.graph
+            return (result.schedule.order,
+                    [pair.selected for pair in graph.pairs],
+                    result.ordering, result.total_ms, result.evaluations)
+
+        assert plan(True) == plan(False)
 
     def test_cache_disabled(self, tiny_vlm, small_cluster, parallel2,
                             cost_model):
@@ -295,21 +289,6 @@ class TestPlannerIntegration:
         assert not second.cache_hit
         assert second.signature is None
         assert first.evaluations > 0 and second.evaluations > 0
-
-    def test_natural_strategy_never_counts_warm(self, tiny_vlm, small_cluster,
-                                                parallel2, cost_model):
-        """A searcher that cannot consume seeds reports misses, not near
-        hits, so warm-rate telemetry stays honest."""
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                    strategy="natural", seed=0)
-        planner = OnlinePlanner(tiny_vlm, small_cluster, parallel2,
-                                cost_model, searcher=searcher)
-        planner.plan_iteration(controlled_batch([8, 8]))
-        result = planner.plan_iteration(controlled_batch([8, 9]))
-        assert not result.warm_started
-        stats = planner.cache_stats
-        assert stats.near_hits == 0
-        assert stats.misses == 2
 
     def test_disable_wins_over_explicit_cache(self, tiny_vlm, small_cluster,
                                               parallel2, cost_model):
@@ -336,12 +315,16 @@ class TestPlannerIntegration:
         assert reports[0].signature is not None
 
     def test_workload_stream_hit_rate(self, cached_planner):
-        """Repeated stream batches are near misses or hits, never all cold."""
-        stream_batches = vlm_workload(2, seed=0).batches(4)
-        cached_planner.run(stream_batches, asynchronous=False)
+        """A stream planned twice misses each distinct batch once and
+        replays every batch of the second pass."""
+        stream_batches = list(vlm_workload(2, seed=0).batches(4))
+        distinct = len({cached_planner.prepare(batch).signature.digest
+                        for batch in stream_batches})
+        cached_planner.run(stream_batches * 2, asynchronous=False)
         stats = cached_planner.cache_stats
-        assert stats.lookups == 4
-        assert stats.warm_rate > 0.0
+        assert stats.lookups == 8
+        assert stats.misses == distinct
+        assert stats.hit_rate == pytest.approx((8 - distinct) / 8)
 
 
 class TestPersistence:
@@ -373,19 +356,6 @@ class TestPersistence:
         assert hit.total_ms == pytest.approx(cold.total_ms, rel=1e-12)
         assert restarted.cache_stats.hits == 1
 
-    def test_loaded_cache_serves_near_misses(self, tiny_vlm, small_cluster,
-                                             parallel2, cost_model,
-                                             tmp_path):
-        path = str(tmp_path / "cache.json")
-        planner = self._populate(tiny_vlm, small_cluster, parallel2,
-                                 cost_model)
-        planner.plan_iteration(controlled_batch([8, 8]))
-        planner.cache.save(path)
-        restarted = self._populate(tiny_vlm, small_cluster, parallel2,
-                                   cost_model, shared=PlanCache.load(path))
-        result = restarted.plan_iteration(controlled_batch([8, 9]))
-        assert result.warm_started
-
     def test_payload_round_trip_preserves_entries(self, tiny_vlm,
                                                   small_cluster, parallel2,
                                                   cost_model):
@@ -401,7 +371,57 @@ class TestPersistence:
             assert other.order == entry.order
             assert other.selected == entry.selected
             assert other.ordering == entry.ordering
-            assert other.signature.features == entry.signature.features
+            assert other.signature == entry.signature
+
+    def test_legacy_cache_file_and_disk_entry_replay(self, tiny_vlm,
+                                                      small_cluster,
+                                                      parallel2, cost_model,
+                                                      tmp_path):
+        """Cache files and disk-tier entries written while the cache had
+        a warm-start tier carry each signature's feature vector and the
+        cache's ``near_miss`` settings.  Both still load, and the entry
+        replays to the plan it was saved from."""
+        import json as _json
+
+        from repro.core.cachetier import (
+            TIER_FILE_FORMAT,
+            TIER_FILE_VERSION,
+            TIER_SUFFIX,
+            DiskCacheTier,
+        )
+        from repro.core.signature import SIGNATURE_VERSION
+
+        planner = self._populate(tiny_vlm, small_cluster, parallel2,
+                                 cost_model)
+        batch = controlled_batch([4, 8])
+        cold = planner.plan_iteration(batch)
+        payload = planner.cache.to_payload()
+        payload.update(near_miss=True, near_miss_max_distance=0.25)
+        entry = payload["entries"][0]
+        entry["signature"]["features"] = [2.0, 56.0, 8.0, 41.5, 83.0,
+                                          1.25, 77.0]
+        path = tmp_path / "legacy.json"
+        path.write_text(_json.dumps(payload))
+        tier_dir = tmp_path / "tier"
+        tier_dir.mkdir()
+        (tier_dir / (cold.signature + TIER_SUFFIX)).write_text(_json.dumps({
+            "format": TIER_FILE_FORMAT, "version": TIER_FILE_VERSION,
+            "signature_version": SIGNATURE_VERSION,
+            "context_digest": entry["signature"]["context_digest"],
+            "plan": entry,
+        }))
+
+        for cache in (PlanCache.load(str(path)),
+                      PlanCache(disk_tier=DiskCacheTier(str(tier_dir)))):
+            restarted = self._populate(tiny_vlm, small_cluster, parallel2,
+                                       cost_model, shared=cache)
+            hit = restarted.plan_iteration(batch)
+            assert hit.cache_hit
+            assert hit.schedule.order == cold.schedule.order
+            assert [p.selected for p in hit.schedule.graph.pairs] == \
+                [p.selected for p in cold.schedule.graph.pairs]
+            assert hit.ordering == cold.ordering
+            assert hit.total_ms == cold.total_ms
 
     def test_load_missing_or_corrupt_file_is_empty(self, tmp_path):
         missing = PlanCache.load(str(tmp_path / "nope.json"))
@@ -523,7 +543,7 @@ class TestConcurrency:
 
     def test_interleaved_ops_keep_stats_consistent(self, signatures,
                                                    tmp_path):
-        cache = PlanCache(capacity=4, near_miss=True)
+        cache = PlanCache(capacity=4)
         shared_path = str(tmp_path / "shared.json")
         cache.save(shared_path)  # so early loads always find a file
         barrier = threading.Barrier(self.THREADS)
@@ -574,7 +594,7 @@ class TestConcurrency:
         total_stores = sum(c["stores"] for c in counts)
         total_invalidated = sum(c["invalidated"] for c in counts)
         assert stats.lookups == total_lookups
-        assert stats.hits + stats.near_hits + stats.misses == total_lookups
+        assert stats.hits + stats.misses == total_lookups
         assert stats.stores == total_stores
         assert stats.invalidations == total_invalidated
         assert len(cache) <= cache.capacity
@@ -626,69 +646,7 @@ class TestConcurrency:
         # search cold — but stats must balance and later hits replay.
         stats = shared.stats
         assert stats.lookups == 4
-        assert stats.hits + stats.near_hits + stats.misses == 4
-
-
-class TestWarmBudget:
-    """Cache-aware budget control: close near misses search with a
-    shrunken evaluation budget (ROADMAP: half suffices at ~0.03)."""
-
-    def _planner(self, tiny_vlm, small_cluster, parallel2, cost_model,
-                 **kwargs):
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                    budget_evaluations=8, seed=0)
-        return OnlinePlanner(tiny_vlm, small_cluster, parallel2, cost_model,
-                             searcher=searcher, cache_size=8, **kwargs)
-
-    def test_close_near_miss_shrinks_budget(self, tiny_vlm, small_cluster,
-                                            parallel2, cost_model):
-        planner = self._planner(tiny_vlm, small_cluster, parallel2,
-                                cost_model, warm_budget_fraction=0.5,
-                                warm_budget_distance=0.5)
-        cold = planner.plan_iteration(controlled_batch([8, 8]))
-        warm = planner.plan_iteration(controlled_batch([8, 9]))
-        assert cold.evaluations == 8
-        assert warm.warm_started
-        assert warm.evaluations <= 4
-
-    def test_distant_near_miss_keeps_full_budget(self, tiny_vlm,
-                                                 small_cluster, parallel2,
-                                                 cost_model):
-        planner = self._planner(tiny_vlm, small_cluster, parallel2,
-                                cost_model, warm_budget_fraction=0.5,
-                                warm_budget_distance=1e-9)
-        planner.plan_iteration(controlled_batch([8, 8]))
-        warm = planner.plan_iteration(controlled_batch([8, 9]))
-        assert warm.warm_started
-        assert warm.evaluations == 8
-
-    def test_fraction_one_disables_shrink(self, tiny_vlm, small_cluster,
-                                          parallel2, cost_model):
-        planner = self._planner(tiny_vlm, small_cluster, parallel2,
-                                cost_model, warm_budget_fraction=1.0,
-                                warm_budget_distance=0.5)
-        planner.plan_iteration(controlled_batch([8, 8]))
-        warm = planner.plan_iteration(controlled_batch([8, 9]))
-        assert warm.warm_started
-        assert warm.evaluations == 8
-
-    def test_invalid_fraction_rejected(self, tiny_vlm, small_cluster,
-                                       parallel2, cost_model):
-        with pytest.raises(ValueError):
-            self._planner(tiny_vlm, small_cluster, parallel2, cost_model,
-                          warm_budget_fraction=0.0)
-
-    def test_searcher_budget_override(self, tiny_vlm, small_cluster,
-                                      parallel2, cost_model, vlm_setup):
-        arch, plan, partitioner = vlm_setup
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                    budget_evaluations=8, seed=0)
-        batch = vlm_workload(2, seed=1).next_batch()
-        graph = build_iteration_graph(arch, plan, batch, small_cluster,
-                                      parallel2, cost_model,
-                                      partitioner=partitioner)
-        result = searcher.search(graph, budget_evaluations=3)
-        assert result.evaluations <= 3
+        assert stats.hits + stats.misses == 4
 
 
 class TestAtomicSave:
@@ -775,7 +733,6 @@ cache = PlanCache(capacity=512)
 for i in range(300):
     sig = GraphSignature(
         digest=f"digest-{{i}}", context_digest="ctx",
-        features=(float(i),) * 4,
         blocks=[BlockInfo(0, 0, 4, 0, 2, f"block-{{i}}")], num_ranks=2,
     )
     cache.store(CachedPlan(

@@ -134,56 +134,6 @@ class TestSearch:
         assert result.ordering == result.reorder.ordering
 
 
-class TestWarmStartedSearch:
-    def test_seed_ordering_marks_result(self, vlm_graph, small_cluster,
-                                        parallel2, cost_model):
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                    budget_evaluations=10, seed=0)
-        cold = searcher.search(vlm_graph)
-        assert not cold.warm_started
-        vlm_graph.reset_strategies()
-        warm = searcher.search(vlm_graph, seed_ordering=cold.ordering)
-        assert warm.warm_started
-        assert validate_schedule(vlm_graph, warm.schedule.order) == []
-
-    def test_warm_start_never_worse_than_seed(self, vlm_graph, small_cluster,
-                                              parallel2, cost_model):
-        cold = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                budget_evaluations=40, seed=0)
-        best = cold.search(vlm_graph)
-        vlm_graph.reset_strategies()
-        # A tiny warm budget must still recover the seeded incumbent.
-        warm = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                budget_evaluations=2, seed=1)
-        result = warm.search(vlm_graph, seed_ordering=best.ordering)
-        assert result.reorder.best_ms <= best.reorder.best_ms * (1 + 1e-9)
-
-    def test_fully_stale_seed_falls_back_to_cold(self, vlm_graph,
-                                                 small_cluster, parallel2,
-                                                 cost_model):
-        from repro.core.stages import Direction, GroupKey
-
-        stale = [GroupKey(999, "nope", Direction.FORWARD)]
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                    budget_evaluations=8, seed=0)
-        result = searcher.search(vlm_graph, seed_ordering=stale)
-        assert not result.warm_started
-        assert validate_schedule(vlm_graph, result.schedule.order) == []
-
-    def test_partially_stale_seed_is_aligned(self, vlm_graph, small_cluster,
-                                             parallel2, cost_model):
-        """Stale group keys are dropped, missing ones appended."""
-        from repro.core.stages import Direction, GroupKey
-
-        groups = list(vlm_graph.groups().keys())
-        seed = [groups[0], GroupKey(999, "nope", Direction.FORWARD)]
-        searcher = ScheduleSearcher(small_cluster, parallel2, cost_model,
-                                    budget_evaluations=8, seed=0)
-        result = searcher.search(vlm_graph, seed_ordering=seed)
-        assert result.warm_started
-        assert validate_schedule(vlm_graph, result.schedule.order) == []
-
-
 def reference_replay(searcher, graph, cached, signature):
     """Cache replay with the most-memory-efficient selection pass that
     ``ScheduleSearcher.replay`` used to run before decoding selections."""

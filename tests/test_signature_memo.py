@@ -4,12 +4,11 @@ A memoised ``prepare`` must build and fingerprint every batch exactly as
 the memo-free :func:`build_iteration_graph` and the whole-graph scan of
 ``hitpath_oracle.split_signature`` do on a fresh build of the same batch:
 the same graph field for field (stages, pairs, dependents, graph
-constants, groups), the same digest, canonical blocks (order, spans,
-digests) and features, the same ``allow_near``.  The differential runs
-over every workload generator and seed the served-plan benchmark and
-``benchmarks/`` use, first with an empty memo (misses), then again
-(block facts hit, fragments recorded) and a third time (blocks assembled
-from fragments).
+constants, groups), the same digest and canonical blocks (order, spans,
+digests).  The differential runs over every workload generator and seed
+the served-plan benchmark and ``benchmarks/`` use, first with an empty
+memo (misses), then again (block digests hit, fragments recorded) and a
+third time (blocks assembled from fragments).
 
 The perf guards count work instead of timing it: a repeated ``prepare``
 hashes no block and builds no group map, and once a shape's fragment is
@@ -56,7 +55,7 @@ SHAPES = (("VLM-M", 16), ("VLM-M", 12), ("T2V-S", 7), ("VLM-S", 4))
 
 BATCHES_PER_SEED = 2
 
-#: Passes over one batch list: block facts are stored on the first,
+#: Passes over one batch list: block digests are stored on the first,
 #: fragments on the second, and blocks are assembled on the third.
 PASSES = 3
 
@@ -84,16 +83,13 @@ def oracle_signature(planner, graph):
 
 
 def fresh_reference(planner, batch):
-    """The oracle's fingerprint of a fresh build, its group count and
-    the build."""
+    """The oracle's fingerprint of a fresh build, and the build."""
     graph = fresh_graph(planner, batch)
     signature = oracle_signature(planner, graph)
     assert compute_signature(
         graph, planner.cluster, planner.parallel, planner.cost_model,
         extra=planner.searcher.fingerprint()) == signature
-    allow_near = (planner.searcher.supports_warm_start
-                  and len(graph.groups()) > 1)
-    return signature, allow_near, len(graph.groups()), graph
+    return signature, graph
 
 
 def assert_same_graph(graph, reference):
@@ -123,16 +119,12 @@ def copy_graph(graph):
 
 def assert_same_fingerprint(planner, batch):
     prepared = planner.prepare(batch)
-    reference, allow_near, num_groups, graph = fresh_reference(planner,
-                                                               batch)
+    reference, graph = fresh_reference(planner, batch)
     assert_same_graph(prepared.graph, graph)
     signature = prepared.signature
     assert signature.digest == reference.digest
     assert signature.context_digest == reference.context_digest
     assert signature.blocks == reference.blocks
-    assert signature.features == reference.features
-    assert signature.num_groups == num_groups
-    assert prepared.allow_near == allow_near
     return signature
 
 
@@ -278,8 +270,6 @@ def test_whole_graph_fallback_bypasses_memo(monkeypatch):
     args = (graph, planner.cluster, planner.parallel, planner.cost_model)
     memoised = compute_signature(*args, memo=BlockMemo())
     assert [b.microbatch for b in memoised.blocks] == [WHOLE_GRAPH]
-    assert graph._groups is not None  # counted by groups(), as before
-    assert memoised.num_groups == len(graph.groups())
     assert memoised == compute_signature(*args)
     assert memoised == split_signature(*args)
 
@@ -300,20 +290,18 @@ def test_memo_needs_the_block_records(monkeypatch):
 
 def test_microbatch_indexed_like_the_whole_graph_block():
     """``WHOLE_GRAPH`` (-1) is also a valid microbatch index: only the
-    split's own fallback block counts the whole graph's groups, on the
-    builder's records (memo misses, facts, fragments) and on the split
-    path alike."""
+    split's own fallback block is the whole graph, on the builder's
+    records (memo misses, digests, fragments) and on the split path
+    alike."""
     planner = make_planner("VLM-S")
     batch = controlled_batch([4, 8, 2], start_index=WHOLE_GRAPH)
     for _ in range(PASSES):
         signature = assert_same_fingerprint(planner, batch)
         graph = fresh_graph(planner, batch)
-        groups = len(copy_graph(graph).groups())
         split = compute_signature(
             graph, planner.cluster, planner.parallel, planner.cost_model,
             extra=planner.searcher.fingerprint())
-        assert [b.microbatch for b in split.blocks] != [WHOLE_GRAPH]
-        assert signature.num_groups == split.num_groups == groups == 12
+        assert len(split.blocks) == 3
         assert split == signature
 
 
@@ -392,7 +380,7 @@ def test_repeated_prepare_emits_nothing(monkeypatch):
     batch = vlm_workload(12, seed=101).next_batch()
     emitted = count_calls(monkeypatch, graphbuilder._Builder,
                           "emit_microbatch")
-    planner.prepare(batch)  # first sighting: block facts stored
+    planner.prepare(batch)  # first sighting: block digests stored
     assert planner._block_memo.num_fragments == 0
     planner.prepare(batch)  # second sighting: fragments stored
     assert planner._block_memo.num_fragments > 0
@@ -520,7 +508,7 @@ def test_concurrent_prepares_agree():
     assert results == {i: expected * PASSES for i in range(4)}
     for built in graphs.values():
         for graph, reference in zip(built, references * PASSES):
-            assert_same_graph(graph, reference[3])
+            assert_same_graph(graph, reference[1])
 
 
 def test_concurrent_writes_keep_the_bound(monkeypatch):
