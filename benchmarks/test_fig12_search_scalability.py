@@ -61,6 +61,7 @@ def run_fig12(combo_name):
         )
         row["Gurobi* (s)"] = milp.solve_seconds
         row["Gurobi* timeout"] = milp.timed_out
+        row["Gurobi* infeasible"] = milp.infeasible
         rows.append(row)
     return rows
 
@@ -87,3 +88,6 @@ def test_fig12_search_scalability(benchmark, combo):
     # At tiny sizes the exact solvers do finish — the blow-up is real,
     # not an artifact of the cap.
     assert not rows[0]["Z3* timeout"]
+    # A schedulable graph's model is never infeasible: a stop is a
+    # timeout, not a mislabelled infeasibility proof.
+    assert not any(r["Gurobi* infeasible"] for r in rows)

@@ -64,7 +64,9 @@ def test_kernel_memopt_ilp_per_rank(benchmark, vlm_env):
             fw_start[stage.pair_id] = inter.start_ms[stage.uid]
         else:
             bw_end[stage.pair_id] = inter.end_ms[stage.uid]
-    _pair_ids, problem = _rank_problem(graph, 0, fw_start, bw_end)
+    pair_ids = sorted({stage.pair_id for stage in graph.stages
+                       if stage.rank == 0})
+    problem = _rank_problem(graph, 0, pair_ids, fw_start, bw_end)
 
     def solve():
         warm = greedy_warm_start(problem)

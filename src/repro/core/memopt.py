@@ -14,6 +14,12 @@ assumed: a rank whose greedy selection is within ``rel_gap`` of the root
 LP bound keeps it without a search, and only the remaining ranks run
 branch-and-bound (see :mod:`repro.solver.bnb`).  :class:`MemoptReport`
 records each rank's certified gap.
+
+This root pass runs on every rank of every searched plan, so it is kept
+cheap: one pass over the stages lists each rank's pairs, each rank
+problem reads a shared candidate list's latencies and memories once, and
+the solver works per candidate profile (pairs with value-equal
+candidate lists) and certifies before any branch-and-bound set-up.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.stages import IterationGraph, StagePair, StrategyCandidate
 from repro.sim.costmodel import StageCost
@@ -98,9 +104,21 @@ def generate_candidates(
     The memoised :class:`StrategyCandidate` values are frozen; each pair
     receives a fresh list around the shared instances.
     """
+    fill_candidates(graph, num_candidates)
+    for pair in graph.pairs:
+        pair.selected = 0
+
+
+def fill_candidates(
+    graph: IterationGraph,
+    num_candidates: int = DEFAULT_NUM_CANDIDATES,
+) -> None:
+    """:func:`generate_candidates` without resetting the selections.
+
+    For a caller that sets every pair's ``selected`` next, such as a
+    plan-cache replay decoding the cached selections.
+    """
     if getattr(graph, "_candidates_key", None) == num_candidates:
-        for pair in graph.pairs:
-            pair.selected = 0
         return
     by_cost: Dict[Tuple[int, int], Tuple[StrategyCandidate, ...]] = {}
     for pair in graph.pairs:
@@ -110,7 +128,6 @@ def generate_candidates(
             candidates = by_cost[shared] = _memoised_candidates(
                 pair, num_candidates)
         pair.candidates = list(candidates)
-        pair.selected = 0
     graph._candidates_key = num_candidates
 
 
@@ -268,31 +285,36 @@ class MemoptReport:
 def _rank_problem(
     graph: IterationGraph,
     rank: int,
+    pair_ids: Sequence[int],
     fw_start: Dict[int, float],
     bw_end: Dict[int, float],
-) -> Tuple[List[int], McIntervalProblem]:
-    """Build the section 5.3 ILP instance for one pipeline rank."""
-    pair_ids = sorted(
-        {
-            graph.stages[uid].pair_id
-            for uid in range(len(graph.stages))
-            if graph.stages[uid].rank == rank
-        }
-    )
-    index_of = {pid: i for i, pid in enumerate(pair_ids)}
+) -> McIntervalProblem:
+    """Build the section 5.3 ILP instance for one pipeline rank.
+
+    ``pair_ids`` lists the rank's pairs in ascending order.  Pairs whose
+    candidate lists hold the same :class:`StrategyCandidate` objects
+    share one latency list and one memory list, read once.
+    """
+    columns: Dict[Tuple[int, ...], Tuple[List[float], List[float]]] = {}
     intervals = []
     latencies: List[List[float]] = []
     memories: List[List[float]] = []
     for pid in pair_ids:
-        pair = graph.pairs[pid]
         s = fw_start.get(pid, 0.0)
-        t = bw_end.get(pid, s)
-        intervals.append((s, t))
-        latencies.append([c.total_extra_ms for c in pair.candidates])
-        memories.append([c.resident_bytes for c in pair.candidates])
+        intervals.append((s, bw_end.get(pid, s)))
+        candidates = graph.pairs[pid].candidates
+        key = tuple(map(id, candidates))
+        column = columns.get(key)
+        if column is None:
+            column = columns[key] = (
+                [c.total_extra_ms for c in candidates],
+                [c.resident_bytes for c in candidates],
+            )
+        latencies.append(column[0])
+        memories.append(column[1])
     cliques = _interval_cliques(intervals)
     limit = graph.memory_limit_bytes - graph.static_bytes_per_rank[rank]
-    return pair_ids, McIntervalProblem(
+    return McIntervalProblem(
         latencies=latencies, memories=memories, cliques=cliques, limit=limit
     )
 
@@ -306,28 +328,33 @@ def _interval_cliques(intervals: Sequence[Tuple[float, float]]) -> List[List[int
     its memory constraint is implied, because resident bytes are
     non-negative.  Intervals are contiguous, so a set contained in a
     later (earlier) one is contained in the next (previous) distinct
-    set, and comparing neighbours finds every such set.  Members are
-    listed in index order.
+    set, and comparing neighbours finds every such set: a set is
+    contained in the previous one unless some interval joined it, and in
+    the next one unless some interval leaves before that.  So the sweep
+    emits the resident set just before an interval leaves, when one has
+    joined since the last departure.  Members are listed in index order.
     """
     order = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
     ends: List[Tuple[float, int]] = []  # min-heap of (end, index) resident
-    sets: List[List[int]] = []
+    cliques: List[List[int]] = []
+    grown = False  # some interval joined since the last one left
     opened = 0
     for start in sorted({s for s, _t in intervals}):
+        if ends and ends[0][0] < start:
+            if grown:
+                cliques.append(sorted(i for _t, i in ends))
+                grown = False
+            while ends and ends[0][0] < start:
+                heapq.heappop(ends)
         while opened < len(order) and intervals[order[opened]][0] <= start:
             i = order[opened]
-            heapq.heappush(ends, (intervals[i][1], i))
             opened += 1
-        while ends and ends[0][0] < start:
-            heapq.heappop(ends)
-        sets.append(sorted(i for _t, i in ends))
-    # Collapse repeats, then drop every set contained in a neighbour.
-    sets = [m for k, m in enumerate(sets) if m and (k == 0 or m != sets[k - 1])]
-    return [
-        m for k, m in enumerate(sets)
-        if not (k > 0 and set(m) <= set(sets[k - 1]))
-        and not (k + 1 < len(sets) and set(m) <= set(sets[k + 1]))
-    ]
+            if intervals[i][1] >= start:
+                heapq.heappush(ends, (intervals[i][1], i))
+                grown = True
+    if grown:
+        cliques.append(sorted(i for _t, i in ends))
+    return cliques
 
 
 def optimize_memory(
@@ -357,7 +384,9 @@ def optimize_memory(
     """
     fw_start: Dict[int, float] = {}
     bw_end: Dict[int, float] = {}
+    on_rank: List[Set[int]] = [set() for _ in range(graph.num_ranks)]
     for stage in graph.stages:
+        on_rank[stage.rank].add(stage.pair_id)
         if stage.is_forward:
             fw_start[stage.pair_id] = start_ms[stage.uid]
         else:
@@ -368,12 +397,13 @@ def optimize_memory(
     nodes: List[int] = []
     gaps: List[float] = []
     for rank in range(graph.num_ranks):
-        pair_ids, problem = _rank_problem(graph, rank, fw_start, bw_end)
+        pair_ids = sorted(on_rank[rank])
         if not pair_ids:
             optimal_flags.append(True)
             nodes.append(0)
             gaps.append(0.0)
             continue
+        problem = _rank_problem(graph, rank, pair_ids, fw_start, bw_end)
         warm = greedy_warm_start(problem)
         if warm is None:
             # Even minimum memory violates the cap; fall back to the most

@@ -32,6 +32,7 @@ from repro.core.signature import GraphSignature
 from repro.core.memopt import (
     MemoptReport,
     apply_uniform_memory_policy,
+    fill_candidates,
     generate_candidates,
     optimize_memory,
 )
@@ -330,9 +331,10 @@ class ScheduleSearcher:
             )
         if self.memopt_mode in ("full", "lean"):
             # decode_selection below sets every pair's strategy, so the
-            # most-memory-efficient pass _prepare_memory would run first
-            # is overwritten anyway: only the candidates are needed.
-            generate_candidates(graph)
+            # most-memory-efficient pass _prepare_memory would run first,
+            # and generate_candidates' reset, would be overwritten anyway:
+            # only the candidates are needed.
+            fill_candidates(graph)
         else:
             self._prepare_memory(graph)
         decode_selection(cached, signature, graph)

@@ -12,12 +12,21 @@ optimality gap (default 5%).  The gap is proven against a lower bound:
 * **Root certification.**  :func:`mc_interval_lower_bound` relaxes the
   problem to one clique at a time, solved as a fractional multiple-choice
   knapsack over each pair's convex (memory, latency) hull.  A warm start
-  within ``rel_gap`` of it is returned with no node expanded.
+  within ``rel_gap`` of it is returned with no node expanded, and before
+  any branch-and-bound set-up: almost every rank of a served plan ends
+  here.
 * **Fallback.**  Other instances run best-first branch-and-bound from the
   warm start until the gap closes or the node budget runs out.  Its
   nodes are compact: a ``(bound, id)`` heap entry plus parent, choice
   and latency in flat arrays, with clique usage kept only for expanded
   nodes.
+
+The root pass works per candidate profile: pairs whose ``(latencies,
+memories)`` lists are value-equal (a VLM-M rank has 50-65 pairs and 4
+profiles) share one min-memory start, one upgrade list per current
+candidate and one hull, each built once per call.  The greedy merges the
+per-profile upgrade lists, and the bound sorts every hull segment once.
+Both return what a per-pair computation returns, bit for bit.
 
 :attr:`McIntervalSolution.optimal` means "certified within ``rel_gap``",
 and :attr:`McIntervalSolution.gap` is the certified relative gap.
@@ -28,6 +37,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -102,6 +112,25 @@ class McIntervalSolution:
         return (self.latency - self.lower_bound) / self.latency
 
 
+def _profiles(problem: McIntervalProblem) -> Tuple[List[int], List[int]]:
+    """Group the pairs by candidate profile.
+
+    A profile is a value-equal ``(latencies, memories)`` list pair; pairs
+    of one profile behave identically in every per-pair computation.
+    Returns each pair's profile index and each profile's first pair.
+    """
+    index: Dict[Tuple[Tuple[float, ...], Tuple[float, ...]], int] = {}
+    profile_of = [
+        index.setdefault(key, len(index))
+        for key in zip(map(tuple, problem.latencies),
+                       map(tuple, problem.memories))
+    ]
+    first = [0] * len(index)
+    for i in reversed(range(len(profile_of))):
+        first[profile_of[i]] = i
+    return profile_of, first
+
+
 def greedy_warm_start(problem: McIntervalProblem) -> Optional[List[int]]:
     """Greedy feasible solution: start min-memory, upgrade by best ratio.
 
@@ -111,61 +140,97 @@ def greedy_warm_start(problem: McIntervalProblem) -> Optional[List[int]]:
     feasible — the first such upgrade in ``(pair, candidate)`` order on
     ties.  Upgrades that free memory rank first (infinite ratio).
 
-    The candidate upgrades live in a heap keyed ``(-ratio, i, j)``; an
-    upgrade of pair ``i`` bumps ``i``'s version, which lazily invalidates
-    its queued entries.  An upgrade that does not fit is set aside: clique
-    usage only grows while upgrades add memory, so it cannot fit later
-    unless an upgrade frees (or adds no) memory, which re-admits it.
+    Per candidate profile (:func:`_profiles`) and current candidate, the
+    upgrades ``(-ratio, candidate, extra memory)`` are listed once, in
+    order.  The heap is a k-way merge of those lists: it holds each
+    pair's next upgrade keyed ``(-ratio, pair)``, so it pops the upgrades
+    in ``(-ratio, pair, candidate)`` order.  Applying an upgrade moves
+    the pair to its new candidate's list (a version bump invalidates the
+    queued head).  An upgrade that does not fit is set aside and the
+    pair's next one queued: clique usage only grows while upgrades add
+    memory, so it cannot fit later unless an upgrade frees (or adds no)
+    memory, which re-admits every set-aside pair from its list's head.
     """
     n = problem.num_pairs
-    selection = [
-        min(range(len(problem.memories[i])), key=lambda j: (problem.memories[i][j],
-                                                            problem.latencies[i][j]))
-        for i in range(n)
+    profile_of, first = _profiles(problem)
+    lats_of = [problem.latencies[i] for i in first]
+    mems_of = [problem.memories[i] for i in first]
+    start_of = [
+        min(range(len(mems)), key=lambda j: (mems[j], lats[j]))
+        for lats, mems in zip(lats_of, mems_of)
     ]
-    if not problem.is_feasible(selection):
-        return None
-    clique_usage = [
-        sum(problem.memories[i][selection[i]] for i in clique)
-        for clique in problem.cliques
-    ]
-    cliques_of_pair = _cliques_of_pair(problem)
+    selection = [start_of[p] for p in profile_of]
+    resident = [mems_of[p][start_of[p]] for p in profile_of]
+    clique_usage = [sum(map(resident.__getitem__, clique))
+                    for clique in problem.cliques]
     limit = problem.limit + 1e-6
-    version = [0] * n
-    heap: List[Tuple[float, int, int, int, float]] = []
+    if any(usage > limit for usage in clique_usage):
+        return None
+    cliques_of_pair = _cliques_of_pair(problem)
+    # tables[p][c]: profile p's upgrades from candidate c, in pop order.
+    tables: List[List[Optional[List[Tuple[float, int, float]]]]] = [
+        [None] * len(lats) for lats in lats_of]
 
-    def push_upgrades(i: int) -> None:
-        cur_lat = problem.latencies[i][selection[i]]
-        cur_mem = problem.memories[i][selection[i]]
-        for j, lat in enumerate(problem.latencies[i]):
+    def upgrades(p: int, c: int) -> List[Tuple[float, int, float]]:
+        table = tables[p][c]
+        if table is not None:
+            return table
+        lats, mems = lats_of[p], mems_of[p]
+        cur_lat, cur_mem = lats[c], mems[c]
+        table = []
+        for j, lat in enumerate(lats):
             saved = cur_lat - lat
             if saved <= 1e-12:
                 continue
-            extra = problem.memories[i][j] - cur_mem
+            extra = mems[j] - cur_mem
             ratio = float("inf") if extra <= 0 else saved / extra
-            heapq.heappush(heap, (-ratio, i, j, version[i], extra))
+            table.append((-ratio, j, extra))
+        table.sort()
+        tables[p][c] = table
+        return table
 
-    for i in range(n):
-        push_upgrades(i)
-    set_aside: List[Tuple[float, int, int, int, float]] = []
+    # Pair i walks lists[i] (its current candidate's upgrades); its next
+    # upgrade is lists[i][cursor[i]], queued as (-ratio, i, version[i]).
+    lists = [upgrades(p, c) for p, c in zip(profile_of, selection)]
+    cursor = [0] * n
+    version = [0] * n
+    heap = [(ups[0][0], i, 0) for i, ups in enumerate(lists) if ups]
+    heapq.heapify(heap)
+    set_aside: List[int] = []  # pairs whose cursor left their list's head
     while heap:
-        entry = heapq.heappop(heap)
-        _key, i, j, ver, extra = entry
+        _key, i, ver = heap[0]
         if ver != version[i]:
+            heapq.heappop(heap)
             continue
-        if extra > 0 and not all(
-            clique_usage[c] + extra <= limit for c in cliques_of_pair[i]
+        ups = lists[i]
+        k = cursor[i]
+        _key, j, extra = ups[k]
+        cliques = cliques_of_pair[i]
+        # Rounded addition is monotone: the upgrade fits every clique of
+        # the pair exactly when it fits the fullest one.
+        if extra > 0 and cliques and not (
+            max(map(clique_usage.__getitem__, cliques)) + extra <= limit
         ):
-            set_aside.append(entry)
-            continue
-        selection[i] = j
-        for c in cliques_of_pair[i]:
-            clique_usage[c] += extra
-        version[i] += 1
-        push_upgrades(i)
-        if extra <= 0:
-            for entry in set_aside:
-                heapq.heappush(heap, entry)
+            if not k:
+                set_aside.append(i)
+            k = cursor[i] = k + 1
+        else:
+            selection[i] = j
+            for c in cliques:
+                clique_usage[c] += extra
+            version[i] = ver = ver + 1
+            ups = lists[i] = upgrades(profile_of[i], j)
+            k = cursor[i] = 0
+        if k < len(ups):
+            heapq.heapreplace(heap, (ups[k][0], i, ver))
+        else:
+            heapq.heappop(heap)
+        if extra <= 0:  # applied without adding memory: re-admit
+            for a in set_aside:
+                if cursor[a]:
+                    cursor[a] = 0
+                    version[a] += 1
+                    heapq.heappush(heap, (lists[a][0][0], a, version[a]))
             set_aside = []
     return selection
 
@@ -218,32 +283,53 @@ def mc_interval_lower_bound(problem: McIntervalProblem) -> float:
     valid lower bound — and, unlike the sum of minimum latencies, it
     grows with the latency that memory pressure forces.
     """
+    return _lower_bound(problem, *_profiles(problem))
+
+
+def _lower_bound(problem: McIntervalProblem, profile_of: Sequence[int],
+                 first: Sequence[int]) -> float:
+    """:func:`mc_interval_lower_bound` from the problem's profiles.
+
+    Each profile's hull is built once, and all hull segments are sorted
+    once by ``(-slope, pair, segment)``.  A clique walks that order
+    filtered to its members, which is the order its own sort would give,
+    and makes the same additions.
+    """
     n = problem.num_pairs
-    min_lat = [min(lats) for lats in problem.latencies]
+    lowest = [min(problem.latencies[i]) for i in first]
+    min_lat = [lowest[p] for p in profile_of]
     bound = sum(min_lat)
     hulls = [_savings_hull(problem.latencies[i], problem.memories[i])
-             for i in range(n)]
+             for i in first]
+    base_mem = [hulls[p][0] for p in profile_of]
+    base_lat = [hulls[p][1] for p in profile_of]
+    segments = sorted(
+        (-slope, i, k, extra, lat_after)
+        for i, p in enumerate(profile_of)
+        for k, (slope, extra, lat_after) in enumerate(hulls[p][2])
+    )
+    limit = problem.limit + 1e-6
     for clique in problem.cliques:
         members = set(clique)
-        room = problem.limit + 1e-6 - sum(hulls[i][0] for i in members)
-        segments = sorted(
-            (-slope, i, k, extra, lat_after)
-            for i in members
-            for k, (slope, extra, lat_after) in enumerate(hulls[i][2])
-        )
+        outside = [True] * n
+        for i in members:
+            outside[i] = False
+        room = limit - sum(map(base_mem.__getitem__, members))
         # Each member's latency at the hull vertex it reaches; at most one
         # segment is taken fractionally.  Slopes fall along a pair's hull,
         # so its segments are taken in order.
-        reached = {i: hulls[i][1] for i in members}
+        reached = list(base_lat)
         partial = 0.0
         for _neg_slope, i, _k, extra, lat_after in segments:
+            if outside[i]:
+                continue
             if extra > room:
                 partial = (reached[i] - lat_after) * max(room, 0.0) / extra
                 break
             room -= extra
             reached[i] = lat_after
-        value = (sum(reached.values()) - partial
-                 + sum(min_lat[i] for i in range(n) if i not in members))
+        value = (sum(map(reached.__getitem__, members)) - partial
+                 + sum(compress(min_lat, outside)))
         bound = max(bound, value)
     return bound
 
@@ -259,7 +345,9 @@ def solve_mc_interval(
     The incumbent (``warm_start``, or :func:`greedy_warm_start`) is first
     checked against :func:`mc_interval_lower_bound`: when it is within
     ``rel_gap`` of that bound it is returned at once, with no node
-    expanded.  Otherwise a best-first branch-and-bound runs from it.  Its
+    expanded and before the branch order, remaining-latency sums and
+    extra-memory tables are built.  Otherwise a best-first
+    branch-and-bound runs from it.  Its
     node bound is the sum of fixed latencies plus each unfixed pair's
     minimum candidate latency (memory relaxed) — cheap and admissible.
     Nodes branch on the unfixed pair with the largest latency spread;
@@ -298,21 +386,17 @@ def solve_mc_interval(
         incumbent = None
     best_lat = problem.total_latency(incumbent) if incumbent is not None else float("inf")
 
-    min_lat = [min(lats) for lats in problem.latencies]
-    min_mem = [min(mems) for mems in problem.memories]
-    # Branch order: biggest potential latency savings first.
-    spread = [max(lats) - min(lats) for lats in problem.latencies]
-    order = sorted(range(n), key=lambda i: -spread[i])
-    root_bound = sum(min_lat)
-
-    cliques_of_pair = _cliques_of_pair(problem)
-    clique_min = [
-        sum(min_mem[i] for i in clique) for clique in problem.cliques
-    ]
+    profile_of, first = _profiles(problem)
+    lows = [(min(problem.latencies[i]), min(problem.memories[i]))
+            for i in first]
+    min_lat = [lows[p][0] for p in profile_of]
+    min_mem = [lows[p][1] for p in profile_of]
+    clique_min = [sum(map(min_mem.__getitem__, clique))
+                  for clique in problem.cliques]
     if any(m > problem.limit + 1e-6 for m in clique_min):
         raise ValueError("problem infeasible even at minimum memory")
 
-    lp_bound = mc_interval_lower_bound(problem)
+    lp_bound = _lower_bound(problem, profile_of, first)
     if incumbent is not None and _certified(best_lat, lp_bound, rel_gap):
         return McIntervalSolution(
             selection=incumbent,
@@ -320,6 +404,12 @@ def solve_mc_interval(
             lower_bound=min(lp_bound, best_lat),
             optimal=True,
         )
+
+    # Branch order: biggest potential latency savings first.
+    spread = [max(lats) - min(lats) for lats in problem.latencies]
+    order = sorted(range(n), key=lambda i: -spread[i])
+    root_bound = sum(min_lat)
+    cliques_of_pair = _cliques_of_pair(problem)
 
     # Compact nodes.  Node ``k`` is the ``k``-th node pushed, which is
     # also its heap tie-break: it fixes the pair one level below node

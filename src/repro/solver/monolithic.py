@@ -27,13 +27,20 @@ from repro.sim.costmodel import CostModel
 
 @dataclass
 class MonolithicResult:
-    """Outcome of a monolithic schedule search."""
+    """Outcome of a monolithic schedule search.
+
+    Attributes:
+        timed_out: The search stopped at its time or node limit.
+        infeasible: The solver proved the model infeasible (``order`` is
+            ``None``).  A correct model of a schedulable graph never is.
+    """
 
     order: Optional[List[List[int]]]
     total_ms: float
     solve_seconds: float
     timed_out: bool
     nodes: int = 0
+    infeasible: bool = False
 
 
 def exhaustive_optimal_schedule(
@@ -169,7 +176,15 @@ def milp_optimal_schedule(
 
     Variables: one continuous start time per stage, the makespan, and one
     ordering binary per same-rank stage pair — the O(n^2) encoding whose
-    cost section 5.4 analyses.
+    cost section 5.4 analyses.  The big-M is a feasible horizon: running
+    every stage back to back in dependency order, each waiting for the
+    P2P transfer of every incoming edge, ends by the sum of the latencies
+    and of those delays, so a disjunct switched off never binds an
+    optimal schedule.
+
+    HiGHS statuses map onto the result: a time or iteration limit sets
+    ``timed_out`` (keeping the incumbent, if any), and a proof of
+    infeasibility sets ``infeasible``.
     """
     try:
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -187,7 +202,12 @@ def milp_optimal_schedule(
         bw = cluster.p2p_bandwidth(parallel, src, dst)
         return cost_model.p2p_latency_ms(nbytes, bw)
 
-    big_m = sum(latency) + 1.0
+    edge_delay = {
+        (dep, stage.uid): p2p_ms(stages[dep].rank, stage.rank,
+                                 stage.p2p_bytes)
+        for stage in stages for dep in stage.deps
+    }
+    big_m = sum(latency) + sum(edge_delay.values()) + 1.0
     same_rank_pairs: List[Tuple[int, int]] = []
     for rank in range(graph.num_ranks):
         uids = [s.uid for s in stages if s.rank == rank]
@@ -213,8 +233,7 @@ def milp_optimal_schedule(
         # Makespan >= start + latency.
         add_row({n: 1.0, stage.uid: -1.0}, latency[stage.uid], np.inf)
         for dep in stage.deps:
-            dep_stage = stages[dep]
-            delay = latency[dep] + p2p_ms(dep_stage.rank, stage.rank, stage.p2p_bytes)
+            delay = latency[dep] + edge_delay[dep, stage.uid]
             # start_v - start_u >= delay
             add_row({stage.uid: 1.0, dep: -1.0}, delay, np.inf)
 
@@ -240,12 +259,15 @@ def milp_optimal_schedule(
         options={"time_limit": time_limit_s, "mip_rel_gap": rel_gap},
     )
     elapsed = time.monotonic() - t0
+    # HiGHS: 1 = iteration/time limit, 2 = infeasible.
+    timed_out = bool(result.status == 1)
     if result.x is None:
         return MonolithicResult(
             order=None,
             total_ms=float("inf"),
             solve_seconds=elapsed,
-            timed_out=True,
+            timed_out=timed_out,
+            infeasible=bool(result.status == 2),
         )
     starts = result.x[:n]
     order: List[List[int]] = []
@@ -253,7 +275,6 @@ def milp_optimal_schedule(
         uids = [s.uid for s in stages if s.rank == rank]
         uids.sort(key=lambda u: starts[u])
         order.append(uids)
-    timed_out = bool(result.status == 1)  # HiGHS: 1 = iteration/time limit
     return MonolithicResult(
         order=order,
         total_ms=float(result.x[n]),

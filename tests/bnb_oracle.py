@@ -2,10 +2,13 @@
 
 :func:`repro.solver.bnb.solve_mc_interval` searches with compact nodes
 (heap entries ``(bound, node id)``, per-node parent, choice and latency
-in flat arrays, clique usage stored once per expanded node).
-:func:`solve_mc_interval_oracle` is the search it replaced, kept
-verbatim as the reference: every node carries its partial selection and
-a full clique-usage tuple, and re-sums its fixed and remaining latency.
+in flat arrays, clique usage stored once per expanded node), after a
+root pass built from per-profile tables.  :func:`solve_mc_interval_oracle`
+is the solver they replaced, kept verbatim as the reference: the old
+root path, with the greedy warm start and root bound of
+``memopt_root_oracle.py``, then a search whose every node carries its
+partial selection and a full clique-usage tuple, and re-sums its fixed
+and remaining latency.
 ``test_solvers.py`` checks that both return the same selection,
 latency, lower bound, ``optimal`` and ``nodes_expanded`` on the recorded
 fallback corpus (:func:`fallback_corpus`) and on generated problems.
@@ -20,13 +23,15 @@ import os
 import tracemalloc
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from memopt_root_oracle import (
+    greedy_warm_start_oracle as greedy_warm_start,
+    mc_interval_lower_bound_oracle as mc_interval_lower_bound,
+)
 from repro.solver.bnb import (
     McIntervalProblem,
     McIntervalSolution,
     _certified,
     _cliques_of_pair,
-    greedy_warm_start,
-    mc_interval_lower_bound,
 )
 
 

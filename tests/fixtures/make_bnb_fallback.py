@@ -63,9 +63,9 @@ def capture(model, microbatches, budget, seed, batches):
     found = []
     current = {}
 
-    def recording_rank_problem(graph, rank, fw_start, bw_end):
+    def recording_rank_problem(graph, rank, *args):
         current["rank"] = rank
-        return rank_problem(graph, rank, fw_start, bw_end)
+        return rank_problem(graph, rank, *args)
 
     def recording_solve(problem, warm_start=None, rel_gap=0.05,
                         node_limit=200_000):

@@ -18,11 +18,19 @@ from repro.core.memopt import (
 )
 from repro.core.plancache import encode_plan
 from repro.core.planner import OnlinePlanner
+from repro.core.stages import (
+    Direction,
+    IterationGraph,
+    SegmentKey,
+    StagePair,
+    StageTask,
+)
 from repro.data.workload import vlm_workload
 from repro.models.lmm import build_combination
 from repro.models.zoo import combination_by_name
 from repro.sim.costmodel import CostModel
 from repro.sim.pipeline import simulate_pipeline
+from tests.test_pipeline_sim import make_cost
 
 
 class TestCandidateGeneration:
@@ -237,6 +245,67 @@ class TestCappedPlansFitMemory:
         assert replayed.cache_hit
         assert replayed.schedule.predicted.memory_exceeded == []
         assert replayed.total_ms == result.total_ms
+
+
+#: (model, microbatches, workload seeds): 10 cold plans per seed, 60 in
+#: all, over the served shapes.
+SWEEP = (("VLM-M", 16, (101, 102)), ("VLM-M", 12, (103, 104)),
+         ("T2V-S", 7, (101, 102)))
+
+
+class TestMemoryFeasibilitySweep:
+    """Every plan whose ranks all certify a finite gap fits the memory
+    limit in simulation, searched cold and replayed from a plan cache."""
+
+    @pytest.mark.parametrize(
+        "model,microbatches,seed",
+        [(model, microbatches, seed) for model, microbatches, seeds in SWEEP
+         for seed in seeds])
+    def test_finite_gap_plans_fit(self, model, microbatches, seed):
+        arch, _cluster, _parallel, planner = _setup(model, 10, 0,
+                                                    plan_cache=False)
+        cached = _setup(model, 10, 0, plan_cache=True)[3]
+        stream = _workload(arch, microbatches, seed)
+        checked = 0
+        for _ in range(10):
+            batch = stream.next_batch()
+            result = planner.plan_iteration(batch)
+            if not all(math.isfinite(g) for g in result.memopt.per_rank_gap):
+                continue
+            checked += 1
+            assert result.schedule.predicted.memory_exceeded == []
+            prepared = cached.prepare(batch)
+            cached.cache.store(encode_plan(result, prepared.signature,
+                                           result.schedule.graph))
+            replayed = cached.plan_prepared(prepared)
+            assert replayed.cache_hit
+            assert replayed.schedule.predicted.memory_exceeded == []
+            assert replayed.total_ms == result.total_ms
+        assert checked
+
+
+def test_min_memory_infeasible_rank_takes_leanest_candidates():
+    """Two overlapping pairs whose leanest candidates alone overflow the
+    cap: the rank reports an infinite gap, uncertified, and keeps every
+    pair at its most memory-efficient candidate."""
+    pairs = [StagePair(i, i, "m", 0, 0, rank=0, num_layers=1,
+                       cost=make_cost(act=100.0)) for i in range(2)]
+    keys = [SegmentKey(i, "m", 0, 0, direction)
+            for direction in (Direction.FORWARD, Direction.BACKWARD)
+            for i in range(2)]
+    stages = [StageTask(0, keys[0], 0, 0, ()), StageTask(1, keys[1], 0, 1, ()),
+              StageTask(2, keys[3], 0, 1, (1,)), StageTask(3, keys[2], 0, 0, (0,))]
+    graph = IterationGraph(1, stages, pairs, [0.0], memory_limit_bytes=8.0)
+    generate_candidates(graph)
+    leanest = [min(c.resident_bytes for c in pair.candidates)
+               for pair in graph.pairs]
+    assert sum(leanest) > graph.memory_limit_bytes
+    report = optimize_memory(graph, [0.0, 10.0, 20.0, 40.0],
+                             [10.0, 20.0, 40.0, 60.0])
+    assert report.per_rank_gap == [math.inf]
+    assert report.per_rank_optimal == [False]
+    assert report.per_rank_nodes == [0]
+    assert [pair.strategy.resident_bytes for pair in graph.pairs] == leanest
 
 
 def scan_cliques(intervals):
