@@ -117,14 +117,20 @@ def _profiles(problem: McIntervalProblem) -> Tuple[List[int], List[int]]:
 
     A profile is a value-equal ``(latencies, memories)`` list pair; pairs
     of one profile behave identically in every per-pair computation.
+    Pairs holding the very same list objects are equal without a
+    comparison, so each distinct object pair is compared by value once.
     Returns each pair's profile index and each profile's first pair.
     """
     index: Dict[Tuple[Tuple[float, ...], Tuple[float, ...]], int] = {}
-    profile_of = [
-        index.setdefault(key, len(index))
-        for key in zip(map(tuple, problem.latencies),
-                       map(tuple, problem.memories))
-    ]
+    by_object: Dict[Tuple[int, int], int] = {}
+    profile_of = []
+    for lats, mems in zip(problem.latencies, problem.memories):
+        key = (id(lats), id(mems))
+        p = by_object.get(key)
+        if p is None:
+            p = by_object[key] = index.setdefault(
+                (tuple(lats), tuple(mems)), len(index))
+        profile_of.append(p)
     first = [0] * len(index)
     for i in reversed(range(len(profile_of))):
         first[profile_of[i]] = i

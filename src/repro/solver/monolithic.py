@@ -30,7 +30,9 @@ class MonolithicResult:
     """Outcome of a monolithic schedule search.
 
     Attributes:
-        timed_out: The search stopped at its time or node limit.
+        timed_out: The search stopped before it finished: at its time
+            or node limit, or (MILP) at any other stop short of a proven
+            optimum or infeasibility.
         infeasible: The solver proved the model infeasible (``order`` is
             ``None``).  A correct model of a schedulable graph never is.
     """
@@ -182,9 +184,10 @@ def milp_optimal_schedule(
     and of those delays, so a disjunct switched off never binds an
     optimal schedule.
 
-    HiGHS statuses map onto the result: a time or iteration limit sets
-    ``timed_out`` (keeping the incumbent, if any), and a proof of
-    infeasibility sets ``infeasible``.
+    HiGHS statuses map onto the result: a proof of infeasibility sets
+    ``infeasible``, and every other stop short of a proven optimum (a
+    time or iteration limit, a numerical failure) sets ``timed_out``,
+    keeping the incumbent, if any.
     """
     try:
         from scipy.optimize import Bounds, LinearConstraint, milp
@@ -259,15 +262,17 @@ def milp_optimal_schedule(
         options={"time_limit": time_limit_s, "mip_rel_gap": rel_gap},
     )
     elapsed = time.monotonic() - t0
-    # HiGHS: 1 = iteration/time limit, 2 = infeasible.
-    timed_out = bool(result.status == 1)
+    # HiGHS: 0 = optimal, 2 = infeasible; any other stop (1 = iteration
+    # or time limit, 4 = numerical or other failure) did not finish.
+    infeasible = bool(result.status == 2)
+    timed_out = result.status != 0 and not infeasible
     if result.x is None:
         return MonolithicResult(
             order=None,
             total_ms=float("inf"),
             solve_seconds=elapsed,
             timed_out=timed_out,
-            infeasible=bool(result.status == 2),
+            infeasible=infeasible,
         )
     starts = result.x[:n]
     order: List[List[int]] = []

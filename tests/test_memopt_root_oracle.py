@@ -83,7 +83,8 @@ class TestFallbackCorpus:
 def problems(draw):
     """Small problems over a few candidate profiles: integer-grid values
     (ratio ties, upgrades that free or add no memory), pairs sharing one
-    list object or holding value-equal copies, empty cliques, and limits
+    list object, holding value-equal copies, or sharing a latency list
+    object with different memory list objects, empty cliques, and limits
     from below the minimum-memory need to ample."""
     scale = draw(st.sampled_from([1.0, 0.25, 1e-3]))
     values = st.integers(0, 6).map(lambda v: v * scale)
@@ -92,12 +93,17 @@ def problems(draw):
         size = draw(st.integers(1, 5))
         profiles.append((draw(st.lists(values, min_size=size, max_size=size)),
                          draw(st.lists(values, min_size=size, max_size=size))))
-    shared = draw(st.booleans())
+    sharing = draw(st.sampled_from(["shared", "copied", "mixed"]))
     latencies, memories = [], []
     for _ in range(draw(st.integers(0, 9))):
         lats, mems = profiles[draw(st.integers(0, len(profiles) - 1))]
-        latencies.append(lats if shared else list(lats))
-        memories.append(mems if shared else list(mems))
+        if sharing == "mixed":
+            # One latency list object beside any same-length profile's memory
+            # list object: neither object alone identifies a profile.
+            mems = draw(st.sampled_from(
+                [m for _l, m in profiles if len(m) == len(lats)]))
+        latencies.append(lats if sharing != "copied" else list(lats))
+        memories.append(mems if sharing != "copied" else list(mems))
     n = len(latencies)
     members = (st.lists(st.integers(0, n - 1), unique=True).map(sorted)
                if n else st.just([]))
@@ -118,7 +124,10 @@ class TestGeneratedProblems:
     def test_generated_problems_reach_every_path(self):
         """The generator reaches infeasible minimum memory, root
         certification, branch-and-bound and upgrades that add no memory
-        (the set-aside re-admission path)."""
+        (the set-aside re-admission path).  Branch-and-bound is counted
+        at gap 0, one of the gaps the oracle comparison draws: at 5% the
+        root certifies almost every small problem, and 300 draws miss
+        branch-and-bound about one run in five."""
         seen = set()
 
         @settings(max_examples=300, deadline=None, database=None)
@@ -126,7 +135,7 @@ class TestGeneratedProblems:
         def census(problem):
             if greedy_warm_start_oracle(problem) is None:
                 seen.add("infeasible")
-            elif solve_mc_interval_oracle(problem).nodes_expanded:
+            elif solve_mc_interval_oracle(problem, rel_gap=0.0).nodes_expanded:
                 seen.add("branch-and-bound")
             else:
                 seen.add("root")

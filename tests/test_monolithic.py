@@ -131,6 +131,27 @@ class TestMilp:
         assert not milp.timed_out
         assert milp.order is None
 
+    @pytest.mark.parametrize("with_incumbent", [False, True])
+    def test_other_failure_is_not_a_finished_solve(
+            self, monkeypatch, small_cluster, parallel2, cost_model,
+            with_incumbent):
+        """A stop that is neither an optimum nor an infeasibility proof
+        (HiGHS status 4, a numerical or other failure) reads as an
+        unfinished solve, never as a finished one."""
+        import numpy as np
+        import scipy.optimize
+
+        def failed_milp(c, **_kwargs):
+            x = np.zeros(len(c)) if with_incumbent else None
+            return scipy.optimize.OptimizeResult(status=4, x=x)
+
+        monkeypatch.setattr(scipy.optimize, "milp", failed_milp)
+        milp = milp_optimal_schedule(two_rank_graph(), small_cluster,
+                                     parallel2, cost_model)
+        assert milp.timed_out
+        assert not milp.infeasible
+        assert (milp.order is not None) == with_incumbent
+
     def test_agrees_with_exhaustive_on_tiny(self, small_cluster, parallel2,
                                             cost_model):
         graph = two_rank_graph(fw=10.0, bw=20.0)
